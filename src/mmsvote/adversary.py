@@ -31,9 +31,10 @@ from .model import (
     PreferenceMatrix,
     canonicalize,
     parse_matrix,
+    type_census,
     utility,
 )
-from .rules import DecisionRecord, Rule, RuleTranscript, build_rule
+from .rules import Rule, RuleTranscript, build_rule
 from .shares import partition_guarantee
 
 __all__ = [
@@ -285,35 +286,50 @@ class ViolationCertificate:
 
     @classmethod
     def from_dict(cls, blob: Mapping) -> "ViolationCertificate":
+        if not isinstance(blob, Mapping):
+            raise CertificateError("certificate must be a JSON object")
         for key in ("instance", "decisions", "victim", "witness", "guarantee", "achieved"):
             if key not in blob:
                 raise CertificateError(f"certificate is missing field {key!r}")
+        if not isinstance(blob["instance"], str):
+            raise CertificateError("bad instance: expected the instance text as a string")
         try:
             instance = parse_matrix(blob["instance"])
         except ValueError as exc:
             raise CertificateError(f"bad instance: {exc}") from None
-        decisions = str(blob["decisions"])
-        if not set(decisions) <= {"0", "1"} or len(decisions) != instance.m:
+        decisions = blob["decisions"]
+        if (
+            not isinstance(decisions, str)
+            or not set(decisions) <= {"0", "1"}
+            or len(decisions) != instance.m
+        ):
             raise CertificateError(
                 f"decision string must be {instance.m} bits, got {decisions!r}"
             )
         outcome = tuple(int(b) for b in decisions)
         victim = blob["victim"]
-        if not isinstance(victim, int) or not 1 <= victim <= instance.n:
+        if not _is_int(victim) or not 1 <= victim <= instance.n:
             raise CertificateError(f"victim {victim!r} out of range")
+        bundles = blob["witness"]
+        if not isinstance(bundles, list) or not all(
+            isinstance(bundle, list) and all(_is_int(j) for j in bundle) for bundle in bundles
+        ):
+            raise CertificateError(
+                "bad witness partition: expected lists of integer decision numbers"
+            )
         try:
             witness = Partition.of(
-                [[j - 1 for j in bundle] for bundle in blob["witness"]],
+                [[j - 1 for j in bundle] for bundle in bundles],
                 n_agents=instance.n,
                 n_decisions=instance.m,
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CertificateError(f"bad witness partition: {exc}") from None
         guarantee, achieved = blob["guarantee"], blob["achieved"]
-        if not isinstance(guarantee, int) or not isinstance(achieved, int):
+        if not _is_int(guarantee) or not _is_int(achieved):
             raise CertificateError("guarantee and achieved must be integers")
         rule_name = str(blob.get("rule", "?"))
-        transcript = _replay_transcript(rule_name, instance, outcome)
+        transcript = RuleTranscript.from_outcome(rule_name, instance, outcome)
         return cls(
             rule=rule_name,
             instance=instance,
@@ -327,6 +343,11 @@ class ViolationCertificate:
 
 class CertificateError(ValueError):
     """A serialized certificate is structurally unusable."""
+
+
+def _is_int(value: object) -> bool:
+    # JSON true/false load as bools, which Python counts as integers
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -356,35 +377,6 @@ class AttackExhausted:
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-
-def _replay_transcript(
-    name: str, matrix: PreferenceMatrix, outcome: Sequence[int]
-) -> RuleTranscript:
-    counters: dict[CanonicalType, int] = {}
-    records = []
-    for j in range(matrix.m):
-        column = matrix.column(j)
-        ctype, flipped = canonicalize(column)
-        k = counters.get(ctype, 0)
-        counters[ctype] = k + 1
-        records.append(
-            DecisionRecord(
-                column=column,
-                type_bits=ctype.bits,
-                flipped=flipped,
-                counter=k,
-                bit=outcome[j],
-            )
-        )
-    return RuleTranscript(
-        rule=name,
-        n=matrix.n,
-        records=tuple(records),
-        outcome=tuple(outcome),
-        utilities=tuple(utility(matrix, outcome, i) for i in range(matrix.n)),
-        counters=counters,
-    )
 
 
 def _minority_pref(column: Sequence[int]) -> int | None:
@@ -439,20 +431,13 @@ class _AttackDriver:
 
     # -- witnesses --------------------------------------------------------
 
-    def _census(self) -> list[list[int]]:
-        order: dict[CanonicalType, list[int]] = {}
-        for j, column in enumerate(self.columns):
-            ctype, _ = canonicalize(column)
-            order.setdefault(ctype, []).append(j)
-        return list(order.values())
-
-    def _witnesses(self) -> list[Partition]:
+    def _witnesses(self, matrix: PreferenceMatrix) -> list[Partition]:
         # catalog order: singletons (when every column fits in its own
         # bundle), then the two per-type round-robin spreads (only once
         # some type has repeats to spread), then the cascade split
         n = self.n
-        m = len(self.columns)
-        census = self._census()
+        m = matrix.m
+        census = [entry.occurrences for entry in type_census(matrix).values()]
         out = []
         if m <= n:
             bundles = [[j] for j in range(m)] + [[] for _ in range(n - m)]
@@ -480,7 +465,7 @@ class _AttackDriver:
 
     def _check_witnesses(self) -> ViolationCertificate | None:
         matrix = PreferenceMatrix.from_columns(self.columns, n_agents=self.n)
-        witnesses = self._witnesses()
+        witnesses = self._witnesses(matrix)
         utilities = [utility(matrix, self.bits, i) for i in range(self.n)]
         for i in range(self.n):
             for partition in witnesses:
@@ -489,7 +474,7 @@ class _AttackDriver:
                     return ViolationCertificate(
                         rule=self.rule.name,
                         instance=matrix,
-                        transcript=_replay_transcript(self.rule.name, matrix, self.bits),
+                        transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
                         victim=i,
                         witness=partition,
                         guarantee=guarantee,
@@ -508,7 +493,7 @@ class _AttackDriver:
                 rule=self.rule.name,
                 n=self.n,
                 instance=matrix,
-                transcript=_replay_transcript(self.rule.name, matrix, self.bits),
+                transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
                 reason=stop.reason,
             )
 

@@ -36,7 +36,7 @@ from .adversary import (
 from .model import PreferenceMatrix, parse_matrix, parse_outcome
 from .rules import RULE_NAMES, run_rule
 from .shares import SearchBudgetExceeded, share_report
-from .verify import AuditReport, audit, check_certificate, exhaustive_check
+from .verify import AuditReport, _ratio_text, audit, check_certificate, exhaustive_check
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -46,14 +46,6 @@ EXIT_BUDGET = 3
 
 class UsageError(ValueError):
     """A flag combination the parser alone cannot reject."""
-
-
-def _rational(value: Fraction | None) -> str:
-    if value is None:
-        return "inf"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _ints(values) -> str:
@@ -74,8 +66,8 @@ def _emit(text: str, out: str | None) -> None:
 def _print_audit(report: AuditReport) -> None:
     print(f"utilities: {_ints(report.utilities)}")
     print(f"mms_adapt: {_ints(report.mms_adapt)}")
-    print(f"alpha_adapt: {_rational(report.alpha_adapt)}")
-    print(f"alpha_egal: {_rational(report.alpha_egal)}")
+    print(f"alpha_adapt: {_ratio_text(report.alpha_adapt)}")
+    print(f"alpha_egal: {_ratio_text(report.alpha_egal)}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +81,7 @@ def _cmd_shares(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"mms_adapt: {_ints(report.mms_adapt)}")
     print(f"mms_egal: {report.mms_egal}")
-    print(f"rds: {' '.join(_rational(r) for r in report.rds)}")
+    print(f"rds: {' '.join(_ratio_text(r) for r in report.rds)}")
     print(f"uniform_bound: {_ints(report.uniform_bound)}")
     if report.n3 is not None:
         print(f"n3_fine: {_ints(report.n3.fine)}")
@@ -110,8 +102,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "rule": transcript.rule,
             "outcome": outcome,
             "utilities": list(transcript.utilities),
-            "alpha_adapt": _rational(report.alpha_adapt),
-            "alpha_egal": _rational(report.alpha_egal),
+            "alpha_adapt": _ratio_text(report.alpha_adapt),
+            "alpha_egal": _ratio_text(report.alpha_egal),
         }
         print(json.dumps(blob))
         return EXIT_OK
@@ -201,7 +193,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         print(found.instance.to_text(), end="")
         print(f"outcome: {''.join(map(str, found.outcome))}")
-        print(f"alpha: {_rational(found.alpha)}")
+        print(f"alpha: {_ratio_text(found.alpha)}")
     return EXIT_FOUND
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ParseError",
@@ -98,6 +99,10 @@ class PreferenceMatrix:
             clean.append(bits)
         object.__setattr__(self, "rows", tuple(clean))
 
+    def __getstate__(self) -> dict:
+        # the cached type census is not serialized; it is rebuilt on demand
+        return {"rows": self.rows}
+
     @property
     def n(self) -> int:
         """Number of agents."""
@@ -141,8 +146,7 @@ class PreferenceMatrix:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> Iterator[tuple[int, ...]]:
-        for j in range(self.m):
-            yield self.column(j)
+        return zip(*self.rows)
 
     def prefix(self, k: int) -> "PreferenceMatrix":
         """The sub-instance consisting of the first k decisions."""
@@ -259,24 +263,32 @@ class CensusEntry:
     flipped: tuple[bool, ...]
 
 
-def type_census(matrix: PreferenceMatrix) -> dict[CanonicalType, CensusEntry]:
+def type_census(matrix: PreferenceMatrix) -> Mapping[CanonicalType, CensusEntry]:
     """Exact multiplicity of every canonical type in the matrix.
 
     The mapping is ordered by first occurrence; each entry records the
     0-based column indices realizing the type and, per occurrence,
     whether the observed column was the negated orientation. Counts sum
-    to m.
+    to m. The census is computed once per matrix and cached on it, so
+    every caller shares one read-only mapping.
     """
+    census = matrix.__dict__.get("_census")
+    if census is not None:
+        return census
     seen: dict[CanonicalType, tuple[list[int], list[bool]]] = {}
     for j, col in enumerate(matrix.columns()):
         ctype, flip = canonicalize(col)
         cols, flips = seen.setdefault(ctype, ([], []))
         cols.append(j)
         flips.append(flip)
-    return {
-        ctype: CensusEntry(len(cols), tuple(cols), tuple(flips))
-        for ctype, (cols, flips) in seen.items()
-    }
+    census = MappingProxyType(
+        {
+            ctype: CensusEntry(len(cols), tuple(cols), tuple(flips))
+            for ctype, (cols, flips) in seen.items()
+        }
+    )
+    object.__setattr__(matrix, "_census", census)
+    return census
 
 
 def n3_counts(matrix: PreferenceMatrix) -> tuple[tuple[int, int, int], int]:

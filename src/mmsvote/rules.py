@@ -34,9 +34,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .model import CanonicalType, PreferenceMatrix, canonicalize, n4_counts, utility
+from .model import CanonicalType, PreferenceMatrix, canonicalize, n4_counts, type_census, utility
 from .shares import SearchBudgetExceeded, effective_budget
 
 __all__ = [
@@ -112,6 +112,33 @@ class RuleTranscript:
     counters: Mapping[CanonicalType, int]
     details: Mapping[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def from_outcome(
+        cls,
+        rule: str,
+        matrix: PreferenceMatrix,
+        outcome: Sequence[int],
+        details: Mapping[str, object] | None = None,
+    ) -> "RuleTranscript":
+        """The transcript of ``outcome`` on ``matrix``, read off the type
+        census: the k-th occurrence of a type carries counter k, and the
+        final counters are the census counts."""
+        census = type_census(matrix)
+        columns = list(matrix.columns())
+        records: list = [None] * matrix.m
+        for ctype, entry in census.items():
+            for k, (j, flipped) in enumerate(zip(entry.occurrences, entry.flipped)):
+                records[j] = DecisionRecord(columns[j], ctype.bits, flipped, k, outcome[j])
+        return cls(
+            rule=rule,
+            n=matrix.n,
+            records=tuple(records),
+            outcome=tuple(outcome),
+            utilities=tuple(utility(matrix, outcome, i) for i in range(matrix.n)),
+            counters={ctype: entry.count for ctype, entry in census.items()},
+            details=details or {},
+        )
+
     @property
     def m(self) -> int:
         return len(self.outcome)
@@ -136,7 +163,7 @@ class RuleTranscript:
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -175,17 +202,13 @@ class Rule:
             step = self.stepper(matrix.n, matrix.m)
         else:
             step = self.stepper(matrix.n)
-        records, counters = _drive(step, matrix.columns())
-        outcome = tuple(r.bit for r in records)
-        return RuleTranscript(
-            rule=self.name,
-            n=matrix.n,
-            records=tuple(records),
-            outcome=outcome,
-            utilities=tuple(utility(matrix, outcome, i) for i in range(matrix.n)),
-            counters=counters,
-            details=step.details(),
-        )
+        outcome = []
+        for column in matrix.columns():
+            bit = step.decide(column)
+            if bit not in (0, 1):
+                raise ValueError(f"rule produced non-bit decision {bit!r}")
+            outcome.append(bit)
+        return RuleTranscript.from_outcome(self.name, matrix, outcome, step.details())
 
 
 class Stepper:
@@ -196,30 +219,6 @@ class Stepper:
 
     def details(self) -> dict:
         return {}
-
-
-def _drive(
-    step: Stepper, columns: Iterable[Sequence[int]]
-) -> tuple[list[DecisionRecord], dict[CanonicalType, int]]:
-    counters: dict[CanonicalType, int] = {}
-    records = []
-    for column in columns:
-        ctype, flipped = canonicalize(column)
-        k = counters.get(ctype, 0)
-        bit = step.decide(tuple(column))
-        if bit not in (0, 1):
-            raise ValueError(f"rule produced non-bit decision {bit!r}")
-        records.append(
-            DecisionRecord(
-                column=tuple(column),
-                type_bits=ctype.bits,
-                flipped=flipped,
-                counter=k,
-                bit=bit,
-            )
-        )
-        counters[ctype] = k + 1
-    return records, counters
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +591,12 @@ def deferred_ambiguity(
     """
     if matrix.n != 4:
         raise ValueError("the deferral rule is defined for 4 agents")
-    removed: list[int] = []
-    seen: dict[CanonicalType, list[int]] = {}
-    for j in range(matrix.m):
-        ctype, _ = canonicalize(matrix.column(j))
-        seen.setdefault(ctype, []).append(j)
-    for ctype, occurrences in seen.items():
-        if ctype.kind == "tie" and len(occurrences) % 2 == 1:
-            removed.append(occurrences[-1])
-    removed.sort()
-    reduced = matrix.drop_columns(removed)
+    removed = sorted(
+        entry.occurrences[-1]
+        for ctype, entry in type_census(matrix).items()
+        if ctype.kind == "tie" and entry.count % 2 == 1
+    )
+    reduced = matrix.drop_columns(removed) if removed else matrix
     transcript = GracefulRule("_inner", standard_pattern(4), required_agents=4).run(reduced)
     eta = eta_vector(reduced)
     short = [i for i in range(4) if transcript.utilities[i] < eta[i]]
@@ -651,30 +646,12 @@ class DeferredAmbiguity4(Rule):
     def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
         self.check_matrix(matrix)
         outcome, removed, i_star, eta = deferred_ambiguity(matrix)
-        records, counters = _drive(_ReplayStepper(outcome), matrix.columns())
-        return RuleTranscript(
-            rule=self.name,
-            n=4,
-            records=tuple(records),
-            outcome=outcome,
-            utilities=tuple(utility(matrix, outcome, i) for i in range(4)),
-            counters=counters,
-            details={
-                "deferred_columns": tuple(j + 1 for j in removed),
-                "compensated_agent": i_star + 1,
-                "thresholds": eta,
-            },
-        )
-
-
-class _ReplayStepper(Stepper):
-    """Feeds a precomputed outcome through the transcript machinery."""
-
-    def __init__(self, outcome: Sequence[int]):
-        self.bits = iter(outcome)
-
-    def decide(self, column: Sequence[int]) -> int:
-        return next(self.bits)
+        details = {
+            "deferred_columns": tuple(j + 1 for j in removed),
+            "compensated_agent": i_star + 1,
+            "thresholds": eta,
+        }
+        return RuleTranscript.from_outcome(self.name, matrix, outcome, details)
 
 
 # ---------------------------------------------------------------------------
@@ -700,14 +677,10 @@ def mnw_outcome(matrix: PreferenceMatrix, *, budget: int | None = None) -> tuple
     share solver: the candidate space must fit in the node budget.
     """
     limit = effective_budget(budget)
-    census: dict[CanonicalType, list[tuple[int, bool]]] = {}
-    for j in range(matrix.m):
-        ctype, flipped = canonicalize(matrix.column(j))
-        census.setdefault(ctype, []).append((j, flipped))
-    types = list(census.items())
+    types = list(type_census(matrix).items())
     space = 1
-    for _, occ in types:
-        space *= len(occ) + 1
+    for _, entry in types:
+        space *= entry.count + 1
     if space > limit:
         raise SearchBudgetExceeded(limit, space)
 
@@ -715,8 +688,8 @@ def mnw_outcome(matrix: PreferenceMatrix, *, budget: int | None = None) -> tuple
     # wins[t][x] = per-agent utility contribution when x of type t's
     # columns are decided with canonical bit 0
     contrib = []
-    for ctype, occ in types:
-        count = len(occ)
+    for ctype, entry in types:
+        count = entry.count
         rows = [
             tuple((x if b == 0 else count - x) for b in ctype.bits)
             for x in range(count + 1)
@@ -751,12 +724,12 @@ def mnw_outcome(matrix: PreferenceMatrix, *, budget: int | None = None) -> tuple
         # side that shows as 0 still has quota
         remaining0 = {}
         remaining1 = {}
-        for (ctype, occ), x in zip(types, vector):
+        for (ctype, entry), x in zip(types, vector):
             remaining0[ctype] = x
-            remaining1[ctype] = len(occ) - x
+            remaining1[ctype] = entry.count - x
         bits = [0] * matrix.m
-        for ctype, occ in types:
-            for j, flipped in occ:
+        for ctype, entry in types:
+            for j, flipped in zip(entry.occurrences, entry.flipped):
                 side0 = remaining1 if flipped else remaining0
                 side1 = remaining0 if flipped else remaining1
                 if side0[ctype] > 0:
@@ -782,16 +755,8 @@ class MaxNashWelfareRule(Rule):
 
     def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
         outcome = mnw_outcome(matrix, budget=self.budget)
-        records, counters = _drive(_ReplayStepper(outcome), matrix.columns())
-        return RuleTranscript(
-            rule=self.name,
-            n=matrix.n,
-            records=tuple(records),
-            outcome=outcome,
-            utilities=tuple(utility(matrix, outcome, i) for i in range(matrix.n)),
-            counters=counters,
-            details={"nash_welfare": nash_welfare(matrix, outcome)},
-        )
+        details = {"nash_welfare": nash_welfare(matrix, outcome)}
+        return RuleTranscript.from_outcome(self.name, matrix, outcome, details)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from mmsvote import kernels
 from mmsvote.model import (
@@ -57,8 +56,6 @@ __all__ = [
     "N3Bounds",
     "ShareReport",
     "share_report",
-    "first_bundle_shards",
-    "mms_adapt_sharded",
 ]
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -141,26 +138,39 @@ def _agreement_mask(bits: tuple[int, ...], i: int) -> int:
     return mask
 
 
+def _columns_by_mask(matrix: PreferenceMatrix, i: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Agent i's view of the census: the consensus columns, and the other
+    columns grouped by agreement mask, both in census order.
+
+    Types with equal masks share a group: they are indistinguishable to
+    every agreement term of the game.
+    """
+    consensus: list[int] = []
+    groups: dict[int, list[int]] = {}
+    for ctype, entry in type_census(matrix).items():
+        if ctype.kind == "consensus":
+            consensus.extend(entry.occurrences)
+        else:
+            groups.setdefault(_agreement_mask(ctype.bits, i), []).extend(entry.occurrences)
+    return consensus, groups
+
+
+def _items(groups: dict[int, list[int]]) -> tuple[tuple[int, int], ...]:
+    """(count, mask) per group, by descending count, then by mask."""
+    items = ((len(cols), mask) for mask, cols in groups.items())
+    return tuple(sorted(items, key=lambda cm: (-cm[0], cm[1])))
+
+
 def _solver_items(matrix: PreferenceMatrix, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Collapse the census to what the solver needs for agent i.
 
     Returns ``(consensus_count, items)`` with items a canonically sorted
-    tuple of (count, agreement mask) pairs for the non-consensus types.
-    Types with equal masks are merged: they are indistinguishable to
-    every agreement term of the game. Consensus columns are pulled out
-    entirely, since they add their count to every permutation's total no
-    matter where they are placed.
+    tuple of (count, agreement mask) pairs, one per mask group.
+    Consensus columns are pulled out entirely, since they add their
+    count to every permutation's total no matter where they are placed.
     """
-    consensus = 0
-    merged: dict[int, int] = {}
-    for ctype, entry in type_census(matrix).items():
-        if ctype.kind == "consensus":
-            consensus += entry.count
-        else:
-            mask = _agreement_mask(ctype.bits, i)
-            merged[mask] = merged.get(mask, 0) + entry.count
-    items = tuple(sorted(((c, m) for m, c in merged.items()), key=lambda cm: (-cm[0], cm[1])))
-    return consensus, items
+    consensus, groups = _columns_by_mask(matrix, i)
+    return len(consensus), _items(groups)
 
 
 def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
@@ -205,20 +215,12 @@ def mms_partition(matrix: PreferenceMatrix, i: int, *, budget: int | None = None
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
-    census = type_census(matrix)
-    consensus, items = _solver_items(matrix, i)
+    consensus, groups = _columns_by_mask(matrix, i)
+    items = _items(groups)
     _, comp = _search(n, items, effective_budget(budget))
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    for ctype, entry in census.items():
-        if ctype.kind == "consensus":
-            bundles[0].extend(entry.occurrences)
-    columns_by_mask: dict[int, list[int]] = {}
-    for ctype, entry in census.items():
-        if ctype.kind != "consensus":
-            mask = _agreement_mask(ctype.bits, i)
-            columns_by_mask.setdefault(mask, []).extend(entry.occurrences)
-    for (count, mask), alloc in zip(items, comp):
-        cols = columns_by_mask[mask]
+    bundles: list[list[int]] = [consensus] + [[] for _ in range(n - 1)]
+    for (_, mask), alloc in zip(items, comp):
+        cols = groups[mask]
         pos = 0
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])
@@ -325,131 +327,13 @@ class ShareReport:
 
 def share_report(matrix: PreferenceMatrix, *, budget: int | None = None) -> ShareReport:
     """Compute every share notion for the instance at once."""
+    dictator_shares = rds(matrix)
     return ShareReport(
         n=matrix.n,
         m=matrix.m,
         mms_adapt=mms_adapt_all(matrix, budget=budget),
         mms_egal=mms_egal(matrix.m),
-        rds=rds(matrix),
-        uniform_bound=tuple(uniform_bound(matrix, i) for i in range(matrix.n)),
+        rds=dictator_shares,
+        uniform_bound=tuple(math.floor(r) for r in dictator_shares),
         n3=n3_bounds(matrix) if matrix.n == 3 else None,
     )
-
-
-# --- parallel decomposition hook -------------------------------------------
-#
-# The composition search splits cleanly on the first bundle's content:
-# shards are independent, share nothing mutable, and merge by max. The
-# in-process solver above does not bother (symmetry pruning is worth more
-# than parallelism at the sizes the package targets), but the functions
-# below implement the decomposition, and the test suite holds them to
-# exact agreement with the direct solver.
-
-
-def first_bundle_shards(
-    matrix: PreferenceMatrix, i: int
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """Enumerate shard keys: each is a composition of the first bundle,
-    one count per solver item, paired with the item list it indexes."""
-    _, items = _solver_items(matrix, i)
-
-    def grow(t: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if t == len(items):
-            yield chosen
-            return
-        for c in range(items[t][0] + 1):
-            yield from grow(t + 1, chosen + (c,))
-
-    for key in grow(0, ()):
-        yield key, items
-
-
-def mms_adapt_sharded(matrix: PreferenceMatrix, i: int, *, budget: int | None = None) -> int:
-    """mms_adapt computed shard-by-shard; exists to exercise the parallel
-    decomposition, and runs on the pure path regardless of backend."""
-    consensus, items = _solver_items(matrix, i)
-    n = matrix.n
-    total_budget = effective_budget(budget)
-    nodes_used = 0
-    best = -1 if items else 0
-    for first, _ in first_bundle_shards(matrix, i):
-        value, nodes = _shard_value(n, items, first)
-        nodes_used += nodes
-        if nodes_used > total_budget:
-            raise SearchBudgetExceeded(total_budget, nodes_used)
-        best = max(best, value)
-    return consensus + best
-
-
-def _shard_value(
-    n: int,
-    items: tuple[tuple[int, int], ...],
-    first: tuple[int, ...],
-) -> tuple[int, int]:
-    """Best completion of a fixed first bundle: the remaining counts go
-    into bundles 2..n (symmetry-pruned among themselves), the permutation
-    minimum is taken over all n bundles."""
-    T = len(items)
-    B = [[0] * n for _ in range(n)]
-    rest = [0] * T
-    agree = []
-    for t, (count, mask) in enumerate(items):
-        bits = [(mask >> a) & 1 for a in range(n)]
-        agree.append(bits)
-        rest[t] = count - first[t]
-        if first[t]:
-            for a in range(n):
-                if bits[a]:
-                    B[0][a] += first[t]
-    suffix = [0] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + rest[t]
-    best = -1
-    nodes = 0
-    comp = [[0] * (n - 1) for _ in range(T)]
-
-    def place(t: int, classes: tuple[int, ...]) -> None:
-        nonlocal best, nodes
-        if t == T:
-            value = kernels.min_assignment(B)
-            if value > best:
-                best = value
-            return
-
-        def fill(j: int, remaining: int) -> None:
-            nonlocal nodes
-            if j == n - 1:
-                if remaining:
-                    return
-                nodes += 1
-                row = comp[t]
-                bits = agree[t]
-                for b in range(n - 1):
-                    if row[b]:
-                        for a in range(n):
-                            if bits[a]:
-                                B[b + 1][a] += row[b]
-                if kernels.min_assignment(B) + suffix[t + 1] > best:
-                    refined: dict[tuple[int, int], int] = {}
-                    new_classes = tuple(
-                        refined.setdefault((classes[b], row[b]), len(refined)) for b in range(n - 1)
-                    )
-                    place(t + 1, new_classes)
-                for b in range(n - 1):
-                    if row[b]:
-                        for a in range(n):
-                            if bits[a]:
-                                B[b + 1][a] -= row[b]
-                return
-            hi = remaining
-            if j > 0 and classes[j] == classes[j - 1]:
-                hi = min(hi, comp[t][j - 1])
-            for c in range(hi, -1, -1):
-                comp[t][j] = c
-                fill(j + 1, remaining - c)
-            comp[t][j] = 0
-
-        fill(0, rest[t])
-
-    place(0, (0,) * (n - 1))
-    return best, nodes

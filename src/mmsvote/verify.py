@@ -43,11 +43,7 @@ THRESHOLDS = (Fraction(1), Fraction(4, 5), Fraction(3, 4), Fraction(1, 2))
 
 
 def _ratio_text(value: Fraction | None) -> str:
-    if value is None:
-        return "inf"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return "inf" if value is None else str(value)
 
 
 @dataclass(frozen=True)

@@ -246,12 +246,29 @@ def test_certificate_parse_rejections():
         ViolationCertificate.from_json(json.dumps({"victim": 1}))
     with pytest.raises(CertificateError, match="bits"):
         ViolationCertificate.from_json(broken(decisions="01"))
+    with pytest.raises(CertificateError, match="bits"):
+        ViolationCertificate.from_json(broken(decisions=int("1" * len(blob["decisions"]))))
     with pytest.raises(CertificateError, match="out of range"):
         ViolationCertificate.from_json(broken(victim=8))
     with pytest.raises(CertificateError, match="witness"):
         ViolationCertificate.from_json(broken(witness=[[1, 1], [2]]))
     with pytest.raises(CertificateError, match="integers"):
         ViolationCertificate.from_json(broken(guarantee="one"))
+    for not_an_object in ("3", "null", "[]"):
+        with pytest.raises(CertificateError, match="object"):
+            ViolationCertificate.from_json(not_an_object)
+    with pytest.raises(CertificateError, match="instance"):
+        ViolationCertificate.from_json(broken(instance=7))
+    floats = [[float(j) for j in bundle] for bundle in blob["witness"]]
+    with pytest.raises(CertificateError, match="witness"):
+        ViolationCertificate.from_json(broken(witness=floats))
+    bools = [[True if j == 1 else j for j in bundle] for bundle in blob["witness"]]
+    with pytest.raises(CertificateError, match="witness"):
+        ViolationCertificate.from_json(broken(witness=bools))
+    with pytest.raises(CertificateError, match="out of range"):
+        ViolationCertificate.from_json(broken(victim=True))
+    with pytest.raises(CertificateError, match="integers"):
+        ViolationCertificate.from_json(broken(achieved=False))
 
 
 def test_attack_transcript_matches_instance():
@@ -259,8 +276,13 @@ def test_attack_transcript_matches_instance():
     t = cert.transcript
     assert t.n == 7
     assert len(t.records) == cert.instance.m
+    seen = {}
     for j, record in enumerate(t.records):
         assert record.column == cert.instance.column(j)
         ctype, flipped = canonicalize(record.column)
         assert record.type_bits == ctype.bits
         assert record.flipped == flipped
+        assert record.counter == seen.get(ctype, 0)
+        seen[ctype] = record.counter + 1
+    assert dict(t.counters) == seen
+    assert list(t.counters) == list(seen)

@@ -143,6 +143,13 @@ def test_attack_and_certificate_check(tmp_path, capsys):
     assert code == 1
     assert out.strip() == "invalid"
 
+    blob["witness"] = [[float(j) for j in bundle] for bundle in blob["witness"]]
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(blob))
+    code, _, err = run_cli(capsys, "verify", "--certificate", str(floats))
+    assert code == 2
+    assert "witness" in err
+
     del blob["witness"]
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(blob))

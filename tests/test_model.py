@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -162,6 +163,24 @@ def test_type_census_counts_sum_to_m():
             for j, flip in zip(entry.occurrences, entry.flipped):
                 observed, f = canonicalize(M.column(j))
                 assert observed == ctype and f == flip
+
+
+def test_type_census_is_cached_and_read_only():
+    M = PreferenceMatrix.from_columns([(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 1)])
+    twin = PreferenceMatrix(M.rows)
+    census = type_census(M)
+    assert type_census(M) is census
+    some_type = next(iter(census))
+    with pytest.raises(TypeError):
+        census[some_type] = census[some_type]
+    with pytest.raises(TypeError):
+        del census[some_type]
+    assert M == twin and hash(M) == hash(twin)
+    type_census(twin)
+    assert M == twin and hash(M) == hash(twin)
+    assert type_census(twin) == census
+    restored = pickle.loads(pickle.dumps(M))
+    assert restored == M and type_census(restored) == census
 
 
 EXAMPLE_3x9 = PreferenceMatrix.from_rows(

@@ -8,6 +8,7 @@ from mmsvote.model import PreferenceMatrix, canonicalize, parse_matrix, utility
 from mmsvote.rules import (
     AlwaysMinorityRule,
     ConstantRule,
+    DecisionRecord,
     DeferredAmbiguity4,
     GracefulMap,
     GracefulMapError,
@@ -16,6 +17,7 @@ from mmsvote.rules import (
     MaxNashWelfareRule,
     MuffledMajority3,
     RULE_NAMES,
+    RuleTranscript,
     build_rule,
     deferred_ambiguity,
     eta_vector,
@@ -411,6 +413,32 @@ def test_transcript_serialization():
     t4 = run_rule("deferred4", PreferenceMatrix.from_columns([(0, 0, 1, 1)]))
     blob4 = json.loads(t4.to_json())
     assert blob4["details"]["thresholds"] == ["0", "0", "0", "0"]
+
+
+def test_transcripts_match_per_column_recount():
+    rng = random.Random(8128)
+    fixed_agents = {"ptrr3": 3, "muffled3": 3, "deferred4": 4}
+    names = [name for name in RULE_NAMES if not name.startswith("graceful:")]
+    assert len(names) == 9
+    for name in names:
+        for _ in range(12):
+            n = fixed_agents.get(name, rng.randint(2, 5))
+            M = random_matrix(rng, n, rng.randint(0, 8))
+            t = run_rule(name, M)
+            counters, records = {}, []
+            for j, column in enumerate(M.columns()):
+                ctype, flipped = canonicalize(column)
+                k = counters.get(ctype, 0)
+                counters[ctype] = k + 1
+                records.append(DecisionRecord(column, ctype.bits, flipped, k, t.outcome[j]))
+            assert t.records == tuple(records)
+            assert t.counters == counters
+            assert list(t.counters) == list(counters)
+            utilities = tuple(utility(M, t.outcome, i) for i in range(n))
+            expected = RuleTranscript(
+                t.rule, n, tuple(records), t.outcome, utilities, counters, t.details
+            )
+            assert t.to_json() == expected.to_json()
 
 
 def test_registry_names_and_flags():

@@ -10,7 +10,6 @@ from mmsvote.shares import (
     effective_budget,
     mms_adapt,
     mms_adapt_all,
-    mms_adapt_sharded,
     mms_egal,
     mms_partition,
     n3_bounds,
@@ -169,18 +168,6 @@ def test_partition_guarantee_never_exceeds_share():
                 bundles[rng.randrange(3)].append(j)
             P = Partition.of(bundles, n_agents=3, n_decisions=M.m)
             assert partition_guarantee(M, 0, P) <= share
-
-
-def test_sharded_solver_agrees():
-    rng = random.Random(5150)
-    for _ in range(15):
-        M = random_matrix(rng, 3, rng.randint(0, 5))
-        for i in range(3):
-            assert mms_adapt_sharded(M, i) == mms_adapt(M, i)
-    for _ in range(5):
-        M = random_matrix(rng, 4, 4)
-        for i in range(4):
-            assert mms_adapt_sharded(M, i) == mms_adapt(M, i)
 
 
 def test_n3_bounds_examples():
