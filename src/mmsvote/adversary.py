@@ -22,18 +22,10 @@ sound by construction, independent of any bookkeeping along the way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    CanonicalType,
-    Partition,
-    PreferenceMatrix,
-    canonicalize,
-    parse_matrix,
-    type_census,
-    utility,
-)
+from .model import Partition, PreferenceMatrix, parse_matrix, type_census, utility
 from .rules import Rule, RuleTranscript, build_rule
 from .shares import partition_guarantee
 
@@ -47,7 +39,6 @@ __all__ = [
     "all_consensus",
     "all_opposed",
     "NamedInstance",
-    "AttackState",
     "ViolationCertificate",
     "AttackExhausted",
     "CertificateError",
@@ -82,23 +73,28 @@ def gen_stage1(n: int) -> list[tuple[int, ...]]:
     return cols
 
 
+def _partners(n: int, ell: int | None, mu: int) -> list[int]:
+    """The n-3 partners of stages II and III: agents outside {1, ell, mu}
+    in ascending order (with ``ell`` None, the first n-3 outside {1, mu})."""
+    if n < 7:
+        raise ValueError(f"stages II and III need n >= 7, got {n}")
+    if mu in (1, ell) or not 2 <= mu <= n:
+        raise ValueError(f"mu={mu} must be one of agents 2..{n} and differ from ell={ell}")
+    if ell is not None and not 2 <= ell <= n:
+        raise ValueError(f"ell={ell} out of range")
+    excluded = {1, ell, mu}
+    return [a for a in range(2, n + 1) if a not in excluded][: n - 3]
+
+
 def gen_stage2(n: int, ell: int | None, mu: int) -> list[tuple[int, ...]]:
     """Second forcing script, aimed at agent ``mu``.
 
-    The first n-3 columns pair ``mu`` with each agent outside
-    {1, ell, mu} in ascending order, then ``mu`` pairs with agent 1, and
-    the final column has ``mu`` alone in the minority. ``ell`` may be
-    None when the first stage ended on the solo column.
+    The first n-3 columns pair ``mu`` with each of its partners, then
+    ``mu`` pairs with agent 1, and the final column has ``mu`` alone in
+    the minority. ``ell`` may be None when the first stage ended on the
+    solo column.
     """
-    if n < 7:
-        raise ValueError(f"stage 2 needs n >= 7, got {n}")
-    excluded = {1, mu} if ell is None else {1, ell, mu}
-    if mu in (1, ell):
-        raise ValueError(f"mu={mu} must differ from agent 1 and ell={ell}")
-    if ell is not None and not 2 <= ell <= n:
-        raise ValueError(f"ell={ell} out of range")
-    partners = [a for a in range(2, n + 1) if a not in excluded]
-    cols = [_minority_column(n, (mu, x)) for x in partners[: n - 3]]
+    cols = [_minority_column(n, (mu, x)) for x in _partners(n, ell, mu)]
     cols.append(_minority_column(n, (mu, 1)))
     cols.append(_minority_column(n, (mu,)))
     return cols
@@ -109,17 +105,13 @@ def gen_stage3(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Cascade scripts: the targeted opener and one full cycle.
 
-    The first block pairs agent 1 with each agent outside {1, ell, mu}
-    (n-3 columns); the cycle block pairs agent 1 with agents 2..n in
-    order (n-1 columns) and is meant to be repeated.
+    The first block pairs agent 1 with each of the n-3 partners of
+    stage II; the cycle block pairs agent 1 with agents 2..n in order
+    (n-1 columns, the opening script without its solo column) and is
+    meant to be repeated.
     """
-    if n < 7:
-        raise ValueError(f"stage 3 needs n >= 7, got {n}")
-    excluded = {1, mu} if ell is None else {1, ell, mu}
-    partners = [a for a in range(2, n + 1) if a not in excluded]
-    s3a = [_minority_column(n, (1, j)) for j in partners[: n - 3]]
-    s3b = [_minority_column(n, (1, i + 1)) for i in range(1, n)]
-    return s3a, s3b
+    s3a = [_minority_column(n, (1, j)) for j in _partners(n, ell, mu)]
+    return s3a, gen_stage1(n)[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +183,15 @@ def gen_mnw_gap(n: int) -> PreferenceMatrix:
 
 def all_consensus(n: int, m: int) -> PreferenceMatrix:
     """Everyone wants 1 on every decision."""
+    if m < 0:
+        raise ValueError(f"the number of decisions must be nonnegative, got {m}")
     return PreferenceMatrix.from_rows([(1,) * m] * n)
 
 
 def all_opposed(n: int, m: int) -> PreferenceMatrix:
     """Agent 1 wants 0 everywhere; everyone else wants 1."""
+    if m < 0:
+        raise ValueError(f"the number of decisions must be nonnegative, got {m}")
     return PreferenceMatrix.from_rows([(0,) * m] + [(1,) * m] * (n - 1))
 
 
@@ -221,26 +217,6 @@ def gen_named_examples() -> dict[str, PreferenceMatrix]:
 
 # ---------------------------------------------------------------------------
 # the adaptive attack
-
-
-@dataclass
-class AttackState:
-    """Mutable bookkeeping for one attack run.
-
-    ``t`` and ``tau`` are the 1-based script positions of the first and
-    second observed minority decisions; ``ell``, ``mu``, ``mu_prime``
-    the agents the script singles out; ``majority_counts`` the per-type
-    majority-decision tally. The log keeps (stage, column, bit) rows.
-    """
-
-    stage: str = "I1"
-    t: int | None = None
-    tau: int | None = None
-    ell: int | None = None
-    mu: int | None = None
-    mu_prime: int | None = None
-    majority_counts: dict[CanonicalType, int] = field(default_factory=dict)
-    log: list[tuple[str, tuple[int, ...], int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -389,8 +365,11 @@ def _minority_pref(column: Sequence[int]) -> int | None:
 
 
 class _ScriptStop(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    """The script cannot go on; the message says why."""
+
+
+class _Certified(Exception):
+    """Carries a violation certificate out of the script."""
 
 
 class _AttackDriver:
@@ -401,33 +380,35 @@ class _AttackDriver:
         self.step = rule.stepper(n)
         self.columns: list[tuple[int, ...]] = []
         self.bits: list[int] = []
-        self.state = AttackState()
+        # (stage, column, bit), one row per fed column
+        self.log: list[tuple[str, tuple[int, ...], int]] = []
         self.specials: list[int] = []
         self.stage3_from: int | None = None
 
-    # -- feeding ----------------------------------------------------------
+    def feed(
+        self, columns: Sequence[tuple[int, ...]], stage: str, *, until_minority: bool = False
+    ) -> int | None:
+        """Feed columns in order, checking every witness after each one.
 
-    def feed(self, column: tuple[int, ...], stage: str) -> ViolationCertificate | None:
-        if len(self.columns) >= self.cap:
-            raise _ScriptStop(f"safety cap of {self.cap} columns reached")
-        self.state.stage = stage
-        bit = self.step.decide(column)
-        if bit not in (0, 1):
-            raise _ScriptStop(f"rule produced non-bit decision {bit!r}")
-        self.columns.append(column)
-        self.bits.append(bit)
-        self.state.log.append((stage, column, bit))
-        minority = _minority_pref(column)
-        if minority is not None and bit != minority:
-            ctype, _ = canonicalize(column)
-            self.state.majority_counts[ctype] = (
-                self.state.majority_counts.get(ctype, 0) + 1
-            )
-        return self._check_witnesses()
-
-    def decided_minority(self) -> bool:
-        minority = _minority_pref(self.columns[-1])
-        return minority is not None and self.bits[-1] == minority
+        With ``until_minority``, the first column the rule decides for its
+        minority ends the feed: it becomes a special column, and its
+        1-based position in ``columns`` is returned. Otherwise, or when no
+        such column comes, the result is None.
+        """
+        for position, column in enumerate(columns, start=1):
+            if len(self.columns) >= self.cap:
+                raise _ScriptStop(f"safety cap of {self.cap} columns reached")
+            bit = self.step.decide(column)
+            if bit not in (0, 1):
+                raise _ScriptStop(f"rule produced non-bit decision {bit!r}")
+            self.columns.append(column)
+            self.bits.append(bit)
+            self.log.append((stage, column, bit))
+            self._check_witnesses()
+            if until_minority and bit == _minority_pref(column):
+                self.specials.append(len(self.columns) - 1)
+                return position
+        return None
 
     # -- witnesses --------------------------------------------------------
 
@@ -443,27 +424,23 @@ class _AttackDriver:
             bundles = [[j] for j in range(m)] + [[] for _ in range(n - m)]
             out.append(Partition.of(bundles, n_agents=n, n_decisions=m))
         if any(len(occurrences) >= 2 for occurrences in census):
-            for offset_per_type in (False, True):
+            for offset in (0, 1):
                 bundles = [[] for _ in range(n)]
                 for c, occurrences in enumerate(census):
-                    start = c if offset_per_type else 0
                     for k, j in enumerate(occurrences):
-                        bundles[(start + k) % n].append(j)
+                        bundles[(offset * c + k) % n].append(j)
                 out.append(Partition.of(bundles, n_agents=n, n_decisions=m))
         if self.stage3_from is not None:
             head = set(self.specials) | set(range(self.stage3_from, m))
             bundles = [sorted(head)] + [[] for _ in range(n - 1)]
             for occurrences in census:
-                k = 0
-                for j in occurrences:
-                    if j in head:
-                        continue
+                rest = [j for j in occurrences if j not in head]
+                for k, j in enumerate(rest):
                     bundles[1 + k % (n - 1)].append(j)
-                    k += 1
             out.append(Partition.of(bundles, n_agents=n, n_decisions=m))
         return out
 
-    def _check_witnesses(self) -> ViolationCertificate | None:
+    def _check_witnesses(self) -> None:
         matrix = PreferenceMatrix.from_columns(self.columns, n_agents=self.n)
         witnesses = self._witnesses(matrix)
         utilities = [utility(matrix, self.bits, i) for i in range(self.n)]
@@ -471,7 +448,7 @@ class _AttackDriver:
             for partition in witnesses:
                 guarantee = partition_guarantee(matrix, i, partition)
                 if utilities[i] < guarantee:
-                    return ViolationCertificate(
+                    raise _Certified(ViolationCertificate(
                         rule=self.rule.name,
                         instance=matrix,
                         transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
@@ -479,14 +456,15 @@ class _AttackDriver:
                         witness=partition,
                         guarantee=guarantee,
                         achieved=utilities[i],
-                    )
-        return None
+                    ))
 
     # -- script -----------------------------------------------------------
 
     def run(self) -> ViolationCertificate | AttackExhausted:
         try:
-            return self._script()
+            self._script()
+        except _Certified as found:
+            return found.args[0]
         except _ScriptStop as stop:
             matrix = PreferenceMatrix.from_columns(self.columns, n_agents=self.n)
             return AttackExhausted(
@@ -494,69 +472,32 @@ class _AttackDriver:
                 n=self.n,
                 instance=matrix,
                 transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
-                reason=stop.reason,
+                reason=str(stop),
             )
 
-    def _script(self) -> ViolationCertificate:
+    def _script(self) -> None:
+        # t and tau: 1-based script positions of the first and second
+        # minority decisions; ell and mu: the agents the script singles out
         n = self.n
-        state = self.state
         s1 = gen_stage1(n)
-        for position, column in enumerate(s1, start=1):
-            cert = self.feed(column, "I1")
-            if cert is not None:
-                return cert
-            if self.decided_minority():
-                state.t = position
-                self.specials.append(len(self.columns) - 1)
-                break
-        if state.t is None:
+        t = self.feed(s1, "I1", until_minority=True)
+        if t is None:
             raise _ScriptStop(
                 "opening stage passed with no minority decision and no certificate"
             )
-        state.ell = state.t + 1 if state.t <= n - 1 else None
-        state.mu = next(a for a in range(2, n + 1) if a != state.ell)
+        ell = t + 1 if t <= n - 1 else None
+        mu = next(a for a in range(2, n + 1) if a != ell)
+        self.feed([column for column in s1[: t - 1] for _ in range(n - 1)], "I2")
 
-        state.stage = "I2"
-        for column in s1[: state.t - 1]:
-            for _ in range(n - 1):
-                cert = self.feed(column, "I2")
-                if cert is not None:
-                    return cert
-
-        s2 = gen_stage2(n, state.ell, state.mu)
-        for position, column in enumerate(s2, start=1):
-            cert = self.feed(column, "II1")
-            if cert is not None:
-                return cert
-            if self.decided_minority():
-                state.tau = position
-                self.specials.append(len(self.columns) - 1)
-                partners = [
-                    a for a in range(1, n + 1) if column[a - 1] == 0 and a != state.mu
-                ]
-                state.mu_prime = partners[0] if partners else None
-                break
-
-        if state.tau is not None:
-            state.stage = "II2"
-            for column in s2[: state.tau - 1]:
-                for _ in range(n - 1):
-                    cert = self.feed(column, "II2")
-                    if cert is not None:
-                        return cert
+        s2 = gen_stage2(n, ell, mu)
+        tau = self.feed(s2, "II1", until_minority=True)
+        if tau is not None:
+            self.feed([column for column in s2[: tau - 1] for _ in range(n - 1)], "II2")
 
         self.stage3_from = len(self.columns)
-        s3a, s3b = gen_stage3(n, state.ell, state.mu)
-        for column in s3a:
-            cert = self.feed(column, "III-a")
-            if cert is not None:
-                return cert
-        for _ in range(n - 1):
-            for column in s3b:
-                cert = self.feed(column, "III-b")
-                if cert is not None:
-                    return cert
-        state.stage = "done"
+        s3a, s3b = gen_stage3(n, ell, mu)
+        self.feed(s3a, "III-a")
+        self.feed(s3b * (n - 1), "III-b")
         raise _ScriptStop(
             "script completed without a violation; the staged argument promises "
             "one, so this indicates an inconsistency in the attack implementation"
@@ -593,5 +534,4 @@ def adaptive_attack(
             f"rule {rule.name!r} is fixed to {rule.required_agents} agents"
         )
     cap = ATTACK_COLUMN_CAP_FACTOR * n * n if max_columns is None else max_columns
-    driver = _AttackDriver(rule, n, cap)
-    return driver.run()
+    return _AttackDriver(rule, n, cap).run()

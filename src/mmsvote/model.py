@@ -64,7 +64,8 @@ def _as_bits(values: Iterable[object], what: str) -> tuple[int, ...]:
     for v in values:
         if v is True or v is False:
             v = int(v)
-        if v not in (0, 1):
+        # 1.0 == 1, so the membership test alone would let floats through
+        if not isinstance(v, int) or v not in (0, 1):
             raise ValueError(f"{what}: bit must be 0 or 1, got {v!r}")
         bits.append(v)
     return tuple(bits)
@@ -429,7 +430,7 @@ def parse_matrix(text: str) -> PreferenceMatrix:
     if lines and lines[-1] == "":
         lines.pop()
     header = lines[0].split(" ")
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+    if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
         raise ParseError('header must be "<n> <m>"', line=1)
     n, m = int(header[0]), int(header[1])
     if n < 1:
@@ -458,7 +459,7 @@ def _parse_json_matrix(text: str) -> PreferenceMatrix:
         if key not in obj:
             raise ParseError(f'JSON instance lacks "{key}"')
     n, m, rows = obj["n"], obj["m"], obj["rows"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 0:
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, m)) or n < 1 or m < 0:
         raise ParseError('"n" and "m" must be a positive and a nonnegative integer')
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f'"rows" must list exactly {n} strings')

@@ -666,7 +666,7 @@ def nash_welfare(matrix: PreferenceMatrix, outcome: Sequence[int]) -> int:
     return product
 
 
-def mnw_outcome(matrix: PreferenceMatrix, *, budget: int | None = None) -> tuple[int, ...]:
+def mnw_outcome(matrix: PreferenceMatrix) -> tuple[int, ...]:
     """Outcome maximizing the product of utilities.
 
     Searches over per-type counts of canonically-0 decisions rather than
@@ -676,7 +676,7 @@ def mnw_outcome(matrix: PreferenceMatrix, *, budget: int | None = None) -> tuple
     lexicographically smallest outcome string. Budget-guarded like the
     share solver: the candidate space must fit in the node budget.
     """
-    limit = effective_budget(budget)
+    limit = effective_budget()
     types = list(type_census(matrix).items())
     space = 1
     for _, entry in types:
@@ -750,11 +750,8 @@ class MaxNashWelfareRule(Rule):
     online = False
     order_insensitive = True
 
-    def __init__(self, *, budget: int | None = None):
-        self.budget = budget
-
     def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
-        outcome = mnw_outcome(matrix, budget=self.budget)
+        outcome = mnw_outcome(matrix)
         details = {"nash_welfare": nash_welfare(matrix, outcome)}
         return RuleTranscript.from_outcome(self.name, matrix, outcome, details)
 
@@ -763,7 +760,7 @@ class MaxNashWelfareRule(Rule):
 # registry
 
 
-def build_rule(name: str, *, budget: int | None = None) -> Rule:
+def build_rule(name: str) -> Rule:
     """Construct a rule from its command-line name.
 
     Recognized names: ``majority``, ``ptrr3``, ``ptrr-generalized``,
@@ -781,7 +778,7 @@ def build_rule(name: str, *, budget: int | None = None) -> Rule:
     if name == "deferred4":
         return DeferredAmbiguity4()
     if name == "mnw":
-        return MaxNashWelfareRule(budget=budget)
+        return MaxNashWelfareRule()
     if name == "always-0":
         return ConstantRule(0)
     if name == "always-1":
@@ -810,10 +807,8 @@ RULE_NAMES = (
 )
 
 
-def run_rule(
-    rule: Rule | str, matrix: PreferenceMatrix, *, budget: int | None = None
-) -> RuleTranscript:
+def run_rule(rule: Rule | str, matrix: PreferenceMatrix) -> RuleTranscript:
     """Run a rule (by object or command-line name) on a matrix."""
     if isinstance(rule, str):
-        rule = build_rule(rule, budget=budget)
+        rule = build_rule(rule)
     return rule.run(matrix)

@@ -73,20 +73,16 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, budget: int, nodes: int):
         super().__init__(
             f"share search exceeded its node budget ({nodes} nodes used, budget {budget}); "
-            f"raise it explicitly or via {BUDGET_ENV_VAR}"
+            f"raise it via {BUDGET_ENV_VAR}"
         )
         self.budget = budget
         self.nodes = nodes
 
 
-def effective_budget(budget: int | None = None) -> int:
-    """Resolve the node budget: explicit argument, else the environment
-    override, else the default (sized for n <= 4 with m <= 12 and n <= 7
-    with up to 6 distinct types)."""
-    if budget is not None:
-        if budget < 1:
-            raise ValueError(f"search budget must be positive, got {budget}")
-        return budget
+def effective_budget() -> int:
+    """Resolve the node budget: the environment override, else the
+    default (sized for n <= 4 with m <= 12 and n <= 7 with up to 6
+    distinct types)."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is not None:
         try:
@@ -189,7 +185,7 @@ def _search(n: int, items: tuple[tuple[int, int], ...], budget: int):
     return best, comp
 
 
-def mms_adapt(matrix: PreferenceMatrix, i: int, *, budget: int | None = None) -> int:
+def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
     """Exact adaptive maxi-min share of agent i (0-based).
 
     Raises SearchBudgetExceeded when the node budget runs out.
@@ -197,15 +193,15 @@ def mms_adapt(matrix: PreferenceMatrix, i: int, *, budget: int | None = None) ->
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     consensus, items = _solver_items(matrix, i)
-    best, _ = _search(matrix.n, items, effective_budget(budget))
+    best, _ = _search(matrix.n, items, effective_budget())
     return consensus + best
 
 
-def mms_adapt_all(matrix: PreferenceMatrix, *, budget: int | None = None) -> tuple[int, ...]:
-    return tuple(mms_adapt(matrix, i, budget=budget) for i in range(matrix.n))
+def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
+    return tuple(mms_adapt(matrix, i) for i in range(matrix.n))
 
 
-def mms_partition(matrix: PreferenceMatrix, i: int, *, budget: int | None = None) -> Partition:
+def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     """An optimal partition witnessing mms_adapt(matrix, i).
 
     The witness is the first optimum in the solver's canonical
@@ -217,7 +213,7 @@ def mms_partition(matrix: PreferenceMatrix, i: int, *, budget: int | None = None
     n = matrix.n
     consensus, groups = _columns_by_mask(matrix, i)
     items = _items(groups)
-    _, comp = _search(n, items, effective_budget(budget))
+    _, comp = _search(n, items, effective_budget())
     bundles: list[list[int]] = [consensus] + [[] for _ in range(n - 1)]
     for (_, mask), alloc in zip(items, comp):
         cols = groups[mask]
@@ -325,13 +321,13 @@ class ShareReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def share_report(matrix: PreferenceMatrix, *, budget: int | None = None) -> ShareReport:
+def share_report(matrix: PreferenceMatrix) -> ShareReport:
     """Compute every share notion for the instance at once."""
     dictator_shares = rds(matrix)
     return ShareReport(
         n=matrix.n,
         m=matrix.m,
-        mms_adapt=mms_adapt_all(matrix, budget=budget),
+        mms_adapt=mms_adapt_all(matrix),
         mms_egal=mms_egal(matrix.m),
         rds=dictator_shares,
         uniform_bound=tuple(math.floor(r) for r in dictator_shares),

@@ -93,15 +93,10 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def audit(
-    matrix: PreferenceMatrix,
-    outcome: Sequence[int],
-    *,
-    budget: int | None = None,
-) -> AuditReport:
+def audit(matrix: PreferenceMatrix, outcome: Sequence[int]) -> AuditReport:
     """Measure how far an outcome falls short of the share guarantees."""
     utilities = tuple(utility(matrix, outcome, i) for i in range(matrix.n))
-    shares = mms_adapt_all(matrix, budget=budget)
+    shares = mms_adapt_all(matrix)
     ratios = tuple(
         None if s == 0 else Fraction(u, s) for u, s in zip(utilities, shares)
     )
@@ -199,30 +194,22 @@ def _canonical_columns(n: int) -> list[tuple[int, ...]]:
 
 
 def _violates(
-    rule: Rule,
-    matrix: PreferenceMatrix,
-    share: str,
-    threshold: Fraction,
-    budget: int | None,
+    rule: Rule, matrix: PreferenceMatrix, share: str, threshold: Fraction
 ) -> tuple[bool, tuple[int, ...], AuditReport]:
     outcome = rule.run(matrix).outcome
-    report = audit(matrix, outcome, budget=budget)
+    report = audit(matrix, outcome)
     return (not report.satisfies(threshold, share=share)), outcome, report
 
 
 def _minimize(
-    rule: Rule,
-    matrix: PreferenceMatrix,
-    share: str,
-    threshold: Fraction,
-    budget: int | None,
+    rule: Rule, matrix: PreferenceMatrix, share: str, threshold: Fraction
 ) -> PreferenceMatrix:
     changed = True
     while changed and matrix.m > 1:
         changed = False
         for j in range(matrix.m):
             candidate = matrix.drop_columns([j])
-            bad, _, _ = _violates(rule, candidate, share, threshold, budget)
+            bad, _, _ = _violates(rule, candidate, share, threshold)
             if bad:
                 matrix = candidate
                 changed = True
@@ -239,7 +226,6 @@ def exhaustive_check(
     threshold: Fraction | int = Fraction(1),
     sample: int | None = None,
     seed: int | None = None,
-    budget: int | None = None,
 ) -> Counterexample | None:
     """Search short instances for a violation of a share guarantee.
 
@@ -266,6 +252,8 @@ def exhaustive_check(
     threshold = Fraction(threshold)
 
     if sample is not None:
+        if sample < 1:
+            raise ValueError(f"sample must be positive, got {sample}")
         if seed is None:
             raise ValueError("sampling mode requires an explicit seed")
         rng = random.Random(seed)
@@ -296,11 +284,11 @@ def exhaustive_check(
         )
 
     for matrix in instances:
-        bad, outcome, report = _violates(rule, matrix, share, threshold, budget)
+        bad, outcome, report = _violates(rule, matrix, share, threshold)
         if not bad:
             continue
-        minimized = _minimize(rule, matrix, share, threshold, budget)
-        _, outcome, report = _violates(rule, minimized, share, threshold, budget)
+        minimized = _minimize(rule, matrix, share, threshold)
+        _, outcome, report = _violates(rule, minimized, share, threshold)
         return Counterexample(
             rule=rule.name,
             share=share,

@@ -17,7 +17,7 @@ from mmsvote.adversary import (
     gen_stage3,
 )
 from mmsvote.model import PreferenceMatrix, canonicalize, utility
-from mmsvote.rules import build_rule, run_rule
+from mmsvote.rules import Rule, Stepper, build_rule, run_rule
 from mmsvote.shares import mms_adapt, partition_guarantee
 
 
@@ -92,6 +92,15 @@ def test_stage3_pattern():
     ]
 
 
+def test_stage3_rejections():
+    # the same checks as stage 2: both build one partner list
+    for n, ell, mu in [(6, 2, 3), (7, 2, 2), (7, None, 1), (7, 9, 3), (7, 2, 8)]:
+        with pytest.raises(ValueError):
+            gen_stage3(n, ell, mu)
+        with pytest.raises(ValueError):
+            gen_stage2(n, ell, mu)
+
+
 def test_stage_relabeling_invariance():
     # mapping ell 2->4, mu 3->6 and the partner pools in order
     perm = {1: 1, 2: 4, 3: 6, 4: 2, 5: 3, 6: 5, 7: 7}
@@ -156,6 +165,10 @@ def test_named_examples_and_families():
     assert (named["mnw_vs_mms"].n, named["mnw_vs_mms"].m) == (3, 15)
     assert all_consensus(3, 4).rows == ((1, 1, 1, 1),) * 3
     assert all_opposed(4, 2).rows == ((0, 0), (1, 1), (1, 1), (1, 1))
+    assert all_consensus(3, 0).m == 0
+    for family in (all_consensus, all_opposed):
+        with pytest.raises(ValueError, match="nonnegative"):
+            family(3, -2)
 
 
 def assert_certificate_sound(cert):
@@ -195,6 +208,64 @@ def test_attack_deterministic():
     a = adaptive_attack("always-minority", 7)
     b = adaptive_attack("always-minority", 7)
     assert a.to_dict() == b.to_dict()
+
+
+class _ScriptedStepper(Stepper):
+    def __init__(self, positions):
+        self.positions = positions
+        self.fed = 0
+
+    def decide(self, column):
+        minority_bit = 1 if 2 * sum(column) < len(column) else 0
+        with_minority = self.fed in self.positions
+        self.fed += 1
+        return minority_bit if with_minority else 1 - minority_bit
+
+
+class ScriptedRule(Rule):
+    """Online test rule: sides with the column's minority at the given
+    0-based feed positions and with the majority everywhere else."""
+
+    name = "scripted"
+
+    def __init__(self, positions):
+        self.positions = frozenset(positions)
+
+    def stepper(self, n, m=None):
+        return _ScriptedStepper(self.positions)
+
+
+# the scripts the staged runs below walk through at n = 7, where the
+# opening ends at t = 1 (ell = 2, mu = 3) unless the rule waits longer
+S1 = gen_stage1(7)
+S2 = gen_stage2(7, 2, 3)
+S3A, S3B = gen_stage3(7, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "positions, columns, victim, guarantee, achieved, decisions",
+    [
+        # I1 -> I2: t = 2, then the first opening column n-1 times
+        ((1,), S1[:2] + S1[:1] * 5, 2, 1, 0, "1011111"),
+        # I1 -> II1: no second minority decision
+        ((0,), S1[:1] + S2, 3, 1, 0, "0111111"),
+        # I1 -> II1 -> II2: tau = 2, then the first stage II column again
+        ((0, 2), S1[:1] + S2[:2] + S2[:1], 4, 1, 0, "0101"),
+        # I1 -> II1 -> III-a -> III-b: tau = 1
+        ((0, 1), S1[:1] + S2[:1] + S3A + S3B + S3B[:2], 1, 2, 1, "00111111111111"),
+    ],
+    ids=["I2", "II1", "II2", "III-b"],
+)
+def test_attack_stage_paths(positions, columns, victim, guarantee, achieved, decisions):
+    # the built-in rules end in stage I1 or go I1 -> II1 -> III-a; these
+    # runs reach stages I2, II2 and III-b as well
+    cert = adaptive_attack(ScriptedRule(positions), 7)
+    assert_certificate_sound(cert)
+    assert [cert.instance.column(j) for j in range(cert.instance.m)] == columns
+    blob = cert.to_dict()
+    assert blob["n"] == 7
+    assert (blob["victim"], blob["guarantee"], blob["achieved"]) == (victim, guarantee, achieved)
+    assert blob["decisions"] == decisions
 
 
 def test_attack_rejections():

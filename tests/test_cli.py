@@ -47,6 +47,10 @@ def test_shares_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "shares", "--input", str(tmp_path / "nope.txt"))
     assert code == 2
     assert "error" in err
+    odd = tmp_path / "odd.txt"
+    odd.write_text("\u0663 1\n0\n0\n0\n", encoding="utf-8")  # an Arabic-Indic 3
+    code, _, _ = run_cli(capsys, "shares", "--input", str(odd))
+    assert code == 2
 
 
 def test_run_round_robin(tmp_path, capsys):
@@ -184,6 +188,12 @@ def test_gen_constraints(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "gen", "--which", "no-such-instance", "--out", str(gap))
     assert code == 2
+    code, _, err = run_cli(
+        capsys, "gen", "--which", "all-consensus", "--agents", "3", "--decisions", "-2",
+        "--out", str(gap),
+    )
+    assert code == 2
+    assert "nonnegative" in err
 
 
 def test_gen_all_families_parse(tmp_path, capsys):
@@ -243,6 +253,12 @@ def test_search_sampling_flags(capsys):
     )
     assert code == 2
     assert "seed" in err
+    code, out, err = run_cli(
+        capsys, "search", "--rule", "majority", "--agents", "3",
+        "--max-decisions", "2", "--sample", "-3", "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert "sample" in err
 
     runs = []
     for _ in range(2):

@@ -48,6 +48,14 @@ def test_parse_matrix_rejects_dimension_mismatch():
         parse_matrix("")
 
 
+def test_parse_matrix_header_needs_ascii_digits():
+    # both pass str.isdigit; int() reads the first as 3 and fails on the second
+    for text in ("\u0663 1\n0\n0\n0\n", "\u00b2 1\n0\n"):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text)
+        assert err.value.line == 1
+
+
 def test_parse_matrix_empty_decisions_is_legal():
     M = parse_matrix("3 0\n\n\n\n")
     assert M.n == 3 and M.m == 0
@@ -61,6 +69,10 @@ def test_parse_matrix_json_validation():
         parse_matrix('{"n": 2, "m": 2, "rows": ["01"]}')
     with pytest.raises(ParseError):
         parse_matrix('{"n": 2, "m": 2, "rows": ["01", "1x"]}')
+    with pytest.raises(ParseError):
+        parse_matrix('{"n": true, "m": 1, "rows": ["0"]}')
+    with pytest.raises(ParseError):
+        parse_matrix('{"n": 1, "m": false, "rows": [""]}')
 
 
 def test_matrix_validates_shape():
@@ -70,6 +82,20 @@ def test_matrix_validates_shape():
         PreferenceMatrix(((0, 2),))
     with pytest.raises(ValueError):
         PreferenceMatrix(())
+
+
+def test_bits_must_be_integers():
+    # 1.0 == 1, but a float bit would print as "1.0" and break the text format
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        PreferenceMatrix.from_rows([(1.0, 0, 1), (0, 1, 1)])
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        canonicalize([0, 1.0, 1])
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        utility(EXAMPLE_3x9, (1, 1, 1, 0, 1, 1, 1, 0, 0.0), 0)
+    M = PreferenceMatrix.from_rows([(True, False, 1), (0, 1, 1)])
+    assert M.rows == ((1, 0, 1), (0, 1, 1))
+    assert M.to_text() == "2 3\n101\n011\n"
+    assert type(M.rows[0][0]) is int
 
 
 def test_from_columns_and_accessors():

@@ -380,10 +380,11 @@ def test_mnw_example_is_majority():
     assert nash_welfare(EXAMPLE_3x15, t.outcome) == 864
 
 
-def test_mnw_budget_guard():
+def test_mnw_budget_guard(monkeypatch):
+    monkeypatch.setenv("MMSVOTE_SEARCH_BUDGET", "3")
     M = PreferenceMatrix.from_columns([(0, 1, 1), (0, 0, 1), (0, 1, 0)])
     with pytest.raises(SearchBudgetExceeded):
-        mnw_outcome(M, budget=3)
+        mnw_outcome(M)
 
 
 def test_mnw_never_below_majority_welfare():

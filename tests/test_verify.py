@@ -154,6 +154,9 @@ def test_exhaustive_rejections():
         exhaustive_check("ptrr3", 4, 3)
     with pytest.raises(ValueError):
         exhaustive_check("majority", 3, 0)
+    for sample in (0, -3):
+        with pytest.raises(ValueError, match="sample"):
+            exhaustive_check("majority", 3, 2, sample=sample, seed=1)
 
 
 def test_sampling_reproducible():
