@@ -1,26 +1,23 @@
 """Build script: compiles the optional C extension holding the share-computation kernels.
 
+The extension is built from the shipped, pre-generated ``src/mmsvote/_kernels.c``,
+so building needs a C compiler but not Cython. After editing ``_kernels.pyx``,
+regenerate the C file with ``cython -3 src/mmsvote/_kernels.pyx``.
+
 The package works without the extension (a pure-Python twin is selected at import
-time), so a missing Cython or C compiler only costs speed, not functionality.
+time), so the extension is optional: without a C compiler the install still
+succeeds and only costs speed, not functionality.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-extensions = [
-    Extension(
-        "mmsvote._kernels",
-        ["src/mmsvote/_kernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-]
-
 setup(
-    ext_modules=cythonize(extensions, compiler_directives={"language_level": "3"})
-    if cythonize is not None
-    else [],
+    ext_modules=[
+        Extension(
+            "mmsvote._kernels",
+            ["src/mmsvote/_kernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ],
 )

@@ -2590,7 +2590,7 @@ int __pyx_module_is_main_mmsvote___kernels = 0;
 /* Implementation of "mmsvote._kernels" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_twin_of__kernels_py_see[] = "Compiled twin of ``_kernels_py``; see that module for the contract.\n\nFixed-size C buffers bound the supported problem size (n <= 8 agents,\n128 distinct types); the dispatch module falls back to the pure kernel\nbeyond that. Enumeration order, tie-breaking, and node accounting match\nthe pure kernel exactly, which the test suite checks by direct\ncomparison on random inputs.\n";
+static const char __pyx_k_Compiled_twin_of__kernels_py_see[] = "Compiled twin of ``_kernels_py``; see that module for the contract.\n\n``setup.py`` compiles the shipped ``_kernels.c``; regenerate it after an\nedit here with ``cython -3 src/mmsvote/_kernels.pyx``. Fixed C buffers cap\nthe size (n <= 8 agents, 128 types); the dispatcher routes larger calls to\nthe pure kernel. Order, tie-breaking and node accounting match that kernel\nexactly; ``tests/test_kernels.py`` builds this module and compares them.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_7mmsvote_8_kernels_min_assignment(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_bundle_sums); /* proto */
 static PyObject *__pyx_pf_7mmsvote_8_kernels_20search_max_partition_7genexpr_genexpr(PyObject *__pyx_self, int __pyx_genexpr_arg_0); /* proto */

@@ -1,11 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled twin of ``_kernels_py``; see that module for the contract.
 
-Fixed-size C buffers bound the supported problem size (n <= 8 agents,
-128 distinct types); the dispatch module falls back to the pure kernel
-beyond that. Enumeration order, tie-breaking, and node accounting match
-the pure kernel exactly, which the test suite checks by direct
-comparison on random inputs.
+``setup.py`` compiles the shipped ``_kernels.c``; regenerate it after an
+edit here with ``cython -3 src/mmsvote/_kernels.pyx``. Fixed C buffers cap
+the size (n <= 8 agents, 128 types); the dispatcher routes larger calls to
+the pure kernel. Order, tie-breaking and node accounting match that kernel
+exactly; ``tests/test_kernels.py`` builds this module and compares them.
 """
 
 BACKEND = "c"

@@ -181,17 +181,22 @@ def gen_mnw_gap(n: int) -> PreferenceMatrix:
     return PreferenceMatrix.from_columns(cols, n_agents=agents)
 
 
-def all_consensus(n: int, m: int) -> PreferenceMatrix:
-    """Everyone wants 1 on every decision."""
+def _check_family_shape(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError(f"the number of agents must be positive, got {n}")
     if m < 0:
         raise ValueError(f"the number of decisions must be nonnegative, got {m}")
+
+
+def all_consensus(n: int, m: int) -> PreferenceMatrix:
+    """Everyone wants 1 on every decision."""
+    _check_family_shape(n, m)
     return PreferenceMatrix.from_rows([(1,) * m] * n)
 
 
 def all_opposed(n: int, m: int) -> PreferenceMatrix:
     """Agent 1 wants 0 everywhere; everyone else wants 1."""
-    if m < 0:
-        raise ValueError(f"the number of decisions must be nonnegative, got {m}")
+    _check_family_shape(n, m)
     return PreferenceMatrix.from_rows([(0,) * m] + [(1,) * m] * (n - 1))
 
 
@@ -517,13 +522,15 @@ def adaptive_attack(
     violation yields an :class:`AttackExhausted` report instead.
 
     The rule must be online and not horizon-aware; it sees columns
-    strictly one at a time. ``max_columns`` overrides the default safety
-    cap of 4n².
+    strictly one at a time. ``max_columns`` (at least 1) overrides the
+    default safety cap of 4n².
     """
     if isinstance(rule, str):
         rule = build_rule(rule)
     if n < 7:
         raise ValueError(f"the staged attack needs n >= 7, got {n}")
+    if max_columns is not None and max_columns < 1:
+        raise ValueError(f"max_columns must be positive, got {max_columns}")
     if not rule.online or rule.horizon_aware:
         raise ValueError(
             f"rule {rule.name!r} is not attackable: the script requires an online "

@@ -1,10 +1,12 @@
 """Backend dispatch for the search kernels.
 
-The compiled extension (``mmsvote._kernels``, built from Cython) and the
-pure-Python module (``mmsvote._kernels_py``) implement the same two
-functions with identical semantics. The compiled one is preferred when
-importable; its fixed buffers cap the problem size, so oversized calls
-are routed to the pure kernel case by case.
+The compiled extension (``mmsvote._kernels``, which ``setup.py`` compiles
+from the shipped, Cython-generated ``_kernels.c``) and the pure-Python
+module (``mmsvote._kernels_py``) implement the same two functions with
+identical semantics. The compiled one is preferred when importable; it is
+absent when no C compiler was available at build time. Its fixed buffers
+cap the problem size, so oversized calls are routed to the pure kernel
+case by case.
 
 ``ACTIVE_BACKEND`` names the default choice ("c" or "python") so callers
 and benchmarks can report what actually ran.

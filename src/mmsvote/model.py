@@ -369,7 +369,7 @@ def utility(matrix: PreferenceMatrix, outcome: Sequence[int], i: int) -> int:
     bits = _as_bits(outcome, "outcome")
     if len(bits) != matrix.m:
         raise ValueError(f"outcome has {len(bits)} bits, expected {matrix.m}")
-    return agreement(matrix.rows[i], bits)
+    return sum(1 for x, y in zip(matrix.rows[i], bits) if x == y)
 
 
 @dataclass(frozen=True)

@@ -682,7 +682,12 @@ def mnw_outcome(matrix: PreferenceMatrix) -> tuple[int, ...]:
     for _, entry in types:
         space *= entry.count + 1
     if space > limit:
-        raise SearchBudgetExceeded(limit, space)
+        raise SearchBudgetExceeded(
+            limit,
+            space,
+            f"the Nash welfare candidate space has {space} candidates, "
+            f"more than the node budget {limit}",
+        )
 
     n = matrix.n
     # wins[t][x] = per-agent utility contribution when x of type t's

@@ -67,14 +67,15 @@ class SearchBudgetExceeded(RuntimeError):
 
     Raised instead of returning a partial value: share computations are
     used as test oracles and certificate checkers, so a silent
-    approximation would poison everything downstream.
+    approximation would poison everything downstream. ``message`` replaces
+    the share search's wording for other budget-guarded searches, such as
+    the Nash welfare rule, whose ``nodes`` is the size of its candidate space.
     """
 
-    def __init__(self, budget: int, nodes: int):
-        super().__init__(
-            f"share search exceeded its node budget ({nodes} nodes used, budget {budget}); "
-            f"raise it via {BUDGET_ENV_VAR}"
-        )
+    def __init__(self, budget: int, nodes: int, message: str | None = None):
+        if message is None:
+            message = f"share search exceeded its node budget ({nodes} nodes used, budget {budget})"
+        super().__init__(f"{message}; raise it via {BUDGET_ENV_VAR}")
         self.budget = budget
         self.nodes = nodes
 

@@ -169,6 +169,9 @@ def test_named_examples_and_families():
     for family in (all_consensus, all_opposed):
         with pytest.raises(ValueError, match="nonnegative"):
             family(3, -2)
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="agents must be positive"):
+                family(n, 2)
 
 
 def assert_certificate_sound(cert):
@@ -277,6 +280,9 @@ def test_attack_rejections():
         adaptive_attack("mnw", 7)
     with pytest.raises(ValueError, match="fixed to 3 agents"):
         adaptive_attack("ptrr3", 7)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_columns must be positive"):
+            adaptive_attack("ptrr-generalized", 7, max_columns=cap)
 
 
 def test_attack_column_cap_reports_exhausted():

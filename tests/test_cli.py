@@ -194,6 +194,12 @@ def test_gen_constraints(tmp_path, capsys):
     )
     assert code == 2
     assert "nonnegative" in err
+    code, _, err = run_cli(
+        capsys, "gen", "--which", "all-opposed", "--agents", "0", "--decisions", "2",
+        "--out", str(gap),
+    )
+    assert code == 2
+    assert "agents must be positive" in err
 
 
 def test_gen_all_families_parse(tmp_path, capsys):

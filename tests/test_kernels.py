@@ -1,13 +1,58 @@
 """The compiled and pure kernels must be interchangeable: same values,
-same winning composition, same node accounting, same budget behavior."""
+same winning composition, same node accounting, same budget behavior.
 
+The compiled twin is built from the shipped ``_kernels.c`` by ``setup.py``
+into a temporary directory, so the twins are compared on every machine
+with a C compiler, whether or not the package was built in place.
+"""
+
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from mmsvote import _kernels_py, kernels
 
-compiled = pytest.importorskip("mmsvote._kernels")
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel module, built by ``setup.py build_ext`` outside the checkout.
+
+    Skips only when the C compiler or ``Python.h`` is missing. A failed build
+    fails the test, because ``optional=True`` turns compile errors into
+    warnings. The module is loaded by path, not registered in ``sys.modules``.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"C compiler {cc!r} not found")
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        pytest.skip("Python.h not found")
+    out = tmp_path_factory.mktemp("kernels_build")
+    proc = subprocess.run(
+        [
+            sys.executable, "setup.py", "build_ext",
+            "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp"),
+        ],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+    )
+    log = proc.stdout + proc.stderr
+    assert proc.returncode == 0, log
+    built = out / "lib" / "mmsvote" / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert built.exists(), "setup.py built no extension:\n" + log
+    spec = importlib.util.spec_from_file_location("mmsvote._kernels", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_case(rng, n_max=6, t_max=5, count_max=6):
@@ -24,7 +69,7 @@ def random_case(rng, n_max=6, t_max=5, count_max=6):
     return n, counts, tuple(masks)
 
 
-def test_min_assignment_parity():
+def test_min_assignment_parity(compiled):
     rng = random.Random(31415)
     for _ in range(400):
         n = rng.randint(1, 7)
@@ -43,7 +88,7 @@ def test_min_assignment_brute_force():
         assert kernels.min_assignment(B) == expected
 
 
-def test_search_parity_small_complete():
+def test_search_parity_small_complete(compiled):
     rng = random.Random(6022)
     for _ in range(120):
         n, counts, masks = random_case(rng, n_max=3, t_max=3, count_max=4)
@@ -54,7 +99,7 @@ def test_search_parity_small_complete():
         assert got_c[3], "small cases must complete"
 
 
-def test_search_parity_capped_nodes():
+def test_search_parity_capped_nodes(compiled):
     # larger shapes, held to identical results under a shared node cap so
     # the pure twin stays fast enough to compare against
     rng = random.Random(6023)
@@ -66,7 +111,7 @@ def test_search_parity_capped_nodes():
         assert got_c == got_py
 
 
-def test_search_parity_under_budget_pressure():
+def test_search_parity_under_budget_pressure(compiled):
     rng = random.Random(1729)
     for _ in range(60):
         n, counts, masks = random_case(rng, n_max=4, t_max=4, count_max=4)
@@ -87,7 +132,7 @@ def test_search_empty_types():
     assert kernels.search_max_partition((), (), 5, 0, 100) == (0, (), 0, True)
 
 
-def test_compiled_size_limits():
+def test_compiled_size_limits(compiled):
     with pytest.raises(ValueError):
         compiled.min_assignment([[0] * 9 for _ in range(9)])
     with pytest.raises(ValueError):

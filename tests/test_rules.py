@@ -383,8 +383,12 @@ def test_mnw_example_is_majority():
 def test_mnw_budget_guard(monkeypatch):
     monkeypatch.setenv("MMSVOTE_SEARCH_BUDGET", "3")
     M = PreferenceMatrix.from_columns([(0, 1, 1), (0, 0, 1), (0, 1, 0)])
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(
+        SearchBudgetExceeded,
+        match="^the Nash welfare candidate space has 8 candidates, more than the node budget 3;",
+    ) as info:
         mnw_outcome(M)
+    assert (info.value.budget, info.value.nodes) == (3, 8)
 
 
 def test_mnw_never_below_majority_welfare():
