@@ -7,7 +7,9 @@ of package imports so they stay self-contained.
 The two entry points:
 
 * ``min_assignment``: the adversary's side of the share game, a minimum
-  over all bundle-to-agent permutations.
+  over all bundle-to-agent permutations. Here it is the Hungarian method,
+  O(n^3) in integer arithmetic; the compiled twin still runs a
+  branch-and-bound, which returns the same value.
 * ``search_max_partition``: the agent's side, an exhaustive maximum over
   placements of interchangeable decision types into labeled bundles.
 """
@@ -21,34 +23,66 @@ def min_assignment(bundle_sums: list[list[int]]) -> int:
     """Minimum over permutations sigma of sum_j bundle_sums[j][sigma(j)].
 
     ``bundle_sums[j][a]`` is the value the reference agent collects when
-    agent a decides bundle j. Branch-and-bound over partial assignments;
-    all entries must be nonnegative for the pruning to be sound.
+    agent a decides bundle j. This is a linear assignment problem, solved
+    exactly by the Hungarian method with shortest augmenting paths (Kuhn
+    1955; Jonker & Volgenant 1987): one augmentation per bundle, each
+    O(n^2), so O(n^3) in all. Row and column potentials keep every reduced
+    cost nonnegative. The arithmetic is on ints only, so the value is exact,
+    and entries may be any ints (the compiled twin's pruning needs them
+    nonnegative, as agreement counts are).
     """
     n = len(bundle_sums)
-    used = 0
-    best = 0
-    for j in range(n):  # greedy assignment seeds the bound
-        pick, pick_v = -1, -1
-        for a in range(n):
-            if not (used >> a) & 1 and (pick < 0 or bundle_sums[j][a] < pick_v):
-                pick, pick_v = a, bundle_sums[j][a]
-        used |= 1 << pick
-        best += pick_v
-
-    def descend(j: int, used: int, acc: int) -> None:
-        nonlocal best
-        if acc >= best:
-            return
-        if j == n:
-            best = acc
-            return
-        row = bundle_sums[j]
-        order = sorted((a for a in range(n) if not (used >> a) & 1), key=row.__getitem__)
-        for a in order:
-            descend(j + 1, used | (1 << a), acc + row[a])
-
-    descend(0, 0, 0)
-    return best
+    if n == 0:
+        return 0
+    hi = max(map(max, bundle_sums))
+    lo = min(map(min, bundle_sums))
+    # Exceeds every value minv takes. A column potential stays in
+    # [-(hi - lo), 0], because a matched bundle's potential is at most its
+    # entry in a still-unmatched column, whose potential is 0. So a new
+    # bundle's first reduced costs are at most 2 * hi - lo, and once shifted
+    # by the first delta (at least lo) at most 2 * (hi - lo); later passes
+    # only lower them.
+    inf = 1 + 2 * (hi - lo) + abs(lo)
+    u = [0] * n  # bundle (row) potentials
+    v = [0] * (n + 1)  # agent (column) potentials; column n is the virtual root
+    match = [-1] * (n + 1)  # match[a]: the bundle agent a decides, -1 if none yet
+    way = [0] * n  # way[a]: the previous column on the shortest path to a
+    for j in range(n):
+        match[n] = j
+        a0 = n
+        minv = [inf] * n
+        tree = [n]
+        free = list(range(n))
+        while True:
+            j0 = match[a0]
+            row = bundle_sums[j0]
+            u0 = u[j0]
+            delta = inf
+            for a in free:
+                cur = row[a] - u0 - v[a]
+                m = minv[a]
+                if cur < m:
+                    minv[a] = m = cur
+                    way[a] = a0
+                if m < delta:
+                    delta = m
+                    a1 = a
+            if delta:
+                for a in tree:
+                    u[match[a]] += delta
+                    v[a] -= delta
+                for a in free:
+                    minv[a] -= delta
+            free.remove(a1)
+            tree.append(a1)
+            a0 = a1
+            if match[a0] < 0:
+                break
+        while a0 != n:  # augment along the path back to the root
+            a1 = way[a0]
+            match[a0] = match[a1]
+            a0 = a1
+    return sum(bundle_sums[match[a]][a] for a in range(n))
 
 
 def search_max_partition(

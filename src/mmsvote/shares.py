@@ -227,7 +227,8 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
 
 def partition_guarantee(matrix: PreferenceMatrix, i: int, partition: Partition) -> int:
     """Exact min over all n! bundle-to-agent permutations of agent i's
-    agreement total. This is the certificate-checking primitive: for any
+    agreement total; the pure kernel finds it in O(n^3) without
+    enumerating them. This is the certificate-checking primitive: for any
     partition it lower-bounds mms_adapt, with equality on a witness."""
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")

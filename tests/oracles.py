@@ -31,6 +31,12 @@ def naive_mms_adapt(matrix, i):
     return 0 if best is None else best
 
 
+def naive_min_assignment(B):
+    """Min over all n! permutations sigma of sum_j B[j][sigma(j)]."""
+    n = len(B)
+    return min(sum(B[j][p[j]] for j in range(n)) for p in permutations(range(n)))
+
+
 def naive_mnw(matrix):
     """Scan all 2^m outcomes; maximize (count of positive utilities,
     product of positive utilities), breaking exact ties by the

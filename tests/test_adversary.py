@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from mmsvote.adversary import (
 from mmsvote.model import PreferenceMatrix, canonicalize, utility
 from mmsvote.rules import Rule, Stepper, build_rule, run_rule
 from mmsvote.shares import mms_adapt, partition_guarantee
+from mmsvote.verify import check_certificate
 
 
 def minority_of(column):
@@ -205,6 +207,14 @@ def test_attack_larger_n():
     assert_certificate_sound(cert)
     assert cert.victim == 0
     assert cert.instance.m == 9
+
+
+@pytest.mark.parametrize("rule", ["majority", "ptrr-generalized"])
+@pytest.mark.parametrize("n", [11, 13])
+def test_attack_past_factorial_sizes(rule, n):
+    cert = adaptive_attack(rule, n)
+    assert check_certificate(cert)
+    assert not check_certificate(dataclasses.replace(cert, achieved=cert.achieved + 1))
 
 
 def test_attack_deterministic():

@@ -162,6 +162,17 @@ def test_attack_and_certificate_check(tmp_path, capsys):
     assert "error" in err
 
 
+def test_attack_and_verify_13_agents(tmp_path, capsys):
+    cert_path = tmp_path / "cert13.json"
+    code, _, _ = run_cli(
+        capsys, "attack", "--rule", "majority", "--agents", "13", "--out", str(cert_path)
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", "--certificate", str(cert_path))
+    assert code == 0
+    assert out.strip() == "valid"
+
+
 def test_attack_stdout_and_rejection(capsys):
     code, out, _ = run_cli(capsys, "attack", "--rule", "always-0", "--agents", "7")
     assert code == 0

@@ -16,8 +16,11 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsvote import _kernels_py, kernels
+from oracles import naive_min_assignment
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,6 +89,79 @@ def test_min_assignment_brute_force():
         B = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
         expected = min(sum(B[j][p[j]] for j in range(n)) for p in permutations(range(n)))
         assert kernels.min_assignment(B) == expected
+
+
+def agreement_sums(rng, n, m):
+    """Bundle sums as ``shares.partition_guarantee`` builds them: random bit
+    columns for n agents, split into n random bundles, counted from agent 0's
+    side (``B[b][a]`` is how many decisions of bundle b agent a agrees on)."""
+    rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+    B = [[0] * n for _ in range(n)]
+    for j in range(m):
+        Bb = B[rng.randrange(n)]
+        for a in range(n):
+            if rows[a][j] == rows[0][j]:
+                Bb[a] += 1
+    return B
+
+
+def test_min_assignment_oracle():
+    rng = random.Random(16180)
+    cases = [[]]
+    for n in range(1, 8):
+        for _ in range(40 if n < 7 else 10):
+            cases.append([[rng.randint(0, 50) for _ in range(n)] for _ in range(n)])
+            cases.append(agreement_sums(rng, n, rng.randint(0, 3 * n)))
+            # tie-heavy: entries from {0, 1}, and every row a single value
+            cases.append([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+            cases.append([[rng.randint(0, 3)] * n for _ in range(n)])
+        cases.append([[0] * n for _ in range(n)])
+        cases.append([[5] * n for _ in range(n)])
+    for B in cases:
+        expected = naive_min_assignment(B)
+        assert _kernels_py.min_assignment(B) == expected, B
+        assert kernels.min_assignment(B) == expected, B
+    assert _kernels_py.min_assignment([]) == kernels.min_assignment([]) == 0
+
+
+@st.composite
+def large_square(draw):
+    n = draw(st.integers(9, 16))
+    hi = draw(st.sampled_from([1, 4, 30]))
+    row = st.lists(st.integers(0, hi), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(B=large_square(), data=st.data())
+def test_min_assignment_metamorphic(B, data):
+    # sizes past brute force: relations any exact permutation minimum obeys
+    n = len(B)
+    value = kernels.min_assignment(B)
+    rows = data.draw(st.permutations(range(n)))
+    cols = data.draw(st.permutations(range(n)))
+    assert kernels.min_assignment([B[r] for r in rows]) == value
+    assert kernels.min_assignment([[row[a] for a in cols] for row in B]) == value
+    c = data.draw(st.integers(0, 20))
+    k = data.draw(st.integers(0, n - 1))
+    shifted_row = [[x + c if j == k else x for x in row] for j, row in enumerate(B)]
+    shifted_col = [[x + c if a == k else x for a, x in enumerate(row)] for row in B]
+    assert kernels.min_assignment(shifted_row) == value + c
+    assert kernels.min_assignment(shifted_col) == value + c
+    sigma = data.draw(st.permutations(range(n)))
+    assert value <= sum(B[j][j] for j in range(n))
+    assert value <= sum(B[j][sigma[j]] for j in range(n))
+    assert value >= sum(map(min, B))
+    assert value >= sum(map(min, zip(*B)))
+
+
+def test_min_assignment_twins_agreement_sums(compiled):
+    # the twins run different algorithms (branch-and-bound vs Hungarian)
+    rng = random.Random(11235)
+    for n in range(1, 9):
+        for _ in range(60):
+            B = agreement_sums(rng, n, rng.randint(0, 4 * n))
+            assert compiled.min_assignment(B) == _kernels_py.min_assignment(B), B
 
 
 def test_search_parity_small_complete(compiled):
