@@ -22,12 +22,13 @@ sound by construction, independent of any bookkeeping along the way.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .model import Partition, PreferenceMatrix, parse_matrix, type_census, utility
 from .rules import Rule, RuleTranscript, build_rule
-from .shares import partition_guarantee
+from .shares import partition_guarantee, rds
 
 __all__ = [
     "gen_stage1",
@@ -448,11 +449,17 @@ class _AttackDriver:
     def _check_witnesses(self) -> None:
         matrix = PreferenceMatrix.from_columns(self.columns, n_agents=self.n)
         witnesses = self._witnesses(matrix)
-        utilities = [utility(matrix, self.bits, i) for i in range(self.n)]
+        # a partition's permutation minimum is an int no larger than its
+        # average over all permutations, RDS_i, so an agent whose utility
+        # reaches floor(RDS_i) cannot be violated and its checks are skipped
+        dictator_shares = rds(matrix)
         for i in range(self.n):
+            achieved = utility(matrix, self.bits, i)
+            if achieved >= math.floor(dictator_shares[i]):
+                continue
             for partition in witnesses:
                 guarantee = partition_guarantee(matrix, i, partition)
-                if utilities[i] < guarantee:
+                if achieved < guarantee:
                     raise _Certified(ViolationCertificate(
                         rule=self.rule.name,
                         instance=matrix,
@@ -460,7 +467,7 @@ class _AttackDriver:
                         victim=i,
                         witness=partition,
                         guarantee=guarantee,
-                        achieved=utilities[i],
+                        achieved=achieved,
                     ))
 
     # -- script -----------------------------------------------------------
@@ -518,8 +525,10 @@ def adaptive_attack(
     starves, amplify the forced types, repeat against a second agent,
     then cascade. After every column each catalog witness is evaluated
     exactly for every agent (agent order first, then witness order), and
-    the first violation found is returned. A completed script without a
-    violation yields an :class:`AttackExhausted` report instead.
+    the first violation found is returned. Agents whose utility already
+    reaches floor(RDS) are skipped, since no partition guarantees more. A
+    completed script without a violation yields an
+    :class:`AttackExhausted` report instead.
 
     The rule must be online and not horizon-aware; it sees columns
     strictly one at a time. ``max_columns`` (at least 1) overrides the

@@ -250,9 +250,13 @@ def canonicalize(column: Sequence[int]) -> tuple[CanonicalType, bool]:
     bits = _as_bits(column, "column")
     if not bits:
         raise ValueError("a column needs at least one agent")
-    if bits[0] == 0:
-        return CanonicalType(bits), False
-    return CanonicalType(tuple(1 - b for b in bits)), True
+    flipped = bits[0] == 1
+    if flipped:
+        bits = tuple(1 - b for b in bits)
+    # the bits are checked above, so skip the constructor's second pass
+    ctype = object.__new__(CanonicalType)
+    object.__setattr__(ctype, "bits", bits)
+    return ctype, flipped
 
 
 @dataclass(frozen=True)

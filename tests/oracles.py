@@ -79,3 +79,67 @@ def canonical_census_multisets(n, m_max):
     for size in range(m_max + 1):
         for combo in combinations_with_replacement(columns, size):
             yield combo
+
+
+def reference_search_max_partition(counts, masks, n, cap, node_budget):
+    """The share search without warm starts: the same enumeration, node
+    accounting and pruning as ``_kernels_py.search_max_partition``, but the
+    permutation minimum is solved from scratch at every node and once more
+    at every leaf. ``min_assignment`` is tied to brute force on its own."""
+    from mmsvote._kernels_py import min_assignment
+
+    T = len(counts)
+    if T == 0:
+        return 0, (), 0, True
+    B = [[0] * n for _ in range(n)]
+    suffix = [sum(counts[t:]) for t in range(T + 1)]
+    comp = [[0] * n for _ in range(T)]
+    state = {"best": -1, "comp": None, "nodes": 0, "out": False}
+
+    def add(t, sign):
+        for b in range(n):
+            for a in range(n):
+                if (masks[t] >> a) & 1:
+                    B[b][a] += sign * comp[t][b]
+
+    def place(t, classes):
+        if t == T:
+            value = min_assignment(B)
+            if value > state["best"]:
+                state["best"] = value
+                state["comp"] = tuple(tuple(row) for row in comp)
+            return state["best"] >= cap
+
+        def fill(j, remaining):
+            if j == n:
+                if remaining:
+                    return False
+                state["nodes"] += 1
+                if state["nodes"] > node_budget:
+                    state["out"] = True
+                    return True
+                add(t, 1)
+                if min_assignment(B) + suffix[t + 1] > state["best"]:
+                    keys = [(classes[b], comp[t][b]) for b in range(n)]
+                    first_seen = list(dict.fromkeys(keys))
+                    new_classes = tuple(first_seen.index(k) for k in keys)
+                    if place(t + 1, new_classes):
+                        return True
+                add(t, -1)
+                return False
+            hi = remaining
+            if j > 0 and classes[j] == classes[j - 1]:
+                hi = min(hi, comp[t][j - 1])
+            for c in range(hi, -1, -1):
+                comp[t][j] = c
+                if fill(j + 1, remaining - c):
+                    return True
+            comp[t][j] = 0
+            return False
+
+        return fill(0, counts[t])
+
+    place(0, (0,) * n)
+    if state["out"]:
+        return state["best"], None, state["nodes"], False
+    return state["best"], state["comp"], state["nodes"], True

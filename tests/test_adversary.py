@@ -217,6 +217,17 @@ def test_attack_past_factorial_sizes(rule, n):
     assert not check_certificate(dataclasses.replace(cert, achieved=cert.achieved + 1))
 
 
+@pytest.mark.parametrize("rule", ["majority", "ptrr-generalized"])
+def test_attack_30_agents(rule):
+    # agents already at floor(RDS) skip their witness checks; the certificate
+    # is still the first one in agent-then-witness order: agent 1 starved on
+    # the singleton split of the opening stage
+    cert = adaptive_attack(rule, 30)
+    assert check_certificate(cert)
+    assert (cert.victim, cert.guarantee, cert.achieved, cert.instance.m) == (0, 1, 0, 30)
+    assert all(len(bundle) == 1 for bundle in cert.witness.bundles)
+
+
 def test_attack_deterministic():
     a = adaptive_attack("always-minority", 7)
     b = adaptive_attack("always-minority", 7)

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsvote import _kernels_py, kernels
-from oracles import naive_min_assignment
+from mmsvote import _kernels_py, kernels, shares
+from mmsvote.model import parse_matrix
+from oracles import naive_min_assignment, reference_search_max_partition
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,3 +218,76 @@ def test_compiled_size_limits(compiled):
     n = 9
     B = [[3 if a == j else 7 for a in range(n)] for j in range(n)]
     assert kernels.min_assignment(B) == 3 * n
+
+
+# The four instances of the `shares` benchmark workload, before its per-seed
+# column shuffle: the structured 7x12 (pair minorities {1,2}, {3,4}, {5,6},
+# four columns each) and the 6x12, 7x10 and 8x10 drawn from its corpus seed.
+# Per agent: (share, search nodes). A pruning or enumeration change shows here.
+SHARES_WORKLOAD = [
+    (
+        "7 12\n000011111111\n000011111111\n111100001111\n111100001111\n"
+        "111111110000\n111111110000\n111111111111\n",
+        [(6, 1682), (6, 1682), (6, 1682), (6, 1682), (6, 1682), (6, 1682), (8, 3)],
+    ),
+    (
+        "6 12\n110100000100\n000110111000\n001010010100\n011011011001\n"
+        "100101011110\n111000001111\n",
+        [(5, 3769), (5, 1647), (6, 1369), (5, 4334), (5, 3417), (5, 2704)],
+    ),
+    (
+        "7 10\n0100101100\n1101110010\n1011011111\n0111011111\n0100000000\n"
+        "1101110010\n0111111111\n",
+        [(3, 642), (5, 273), (3, 3346), (4, 277), (2, 863), (5, 273), (4, 265)],
+    ),
+    (
+        "8 10\n1011101100\n1010101011\n0001100001\n1011100101\n0000100001\n"
+        "1100010010\n0011010101\n0011000111\n",
+        [(3, 2741), (3, 2000), (4, 849), (5, 265), (4, 509), (2, 5659), (3, 4282), (4, 890)],
+    ),
+]
+
+
+def check_shares_workload_nodes(kernel):
+    searched = {}
+    for text, pinned in SHARES_WORKLOAD:
+        matrix = parse_matrix(text)
+        for i, expected in enumerate(pinned):
+            consensus, items = shares._solver_items(matrix, i)
+            counts = tuple(c for c, _ in items)
+            masks = tuple(m for _, m in items)
+            cap = shares._items_cap(matrix.n, items)
+            best, _, nodes, done = kernel.search_max_partition(counts, masks, matrix.n, cap, 10**7)
+            assert done and (consensus + best, nodes) == expected, (text, i)
+            searched[(matrix.n, items)] = nodes
+    # the solver caches equal searches, so the benchmark runs each once
+    assert len(searched) == 24 and sum(searched.values()) == 45_150
+
+
+def test_shares_workload_nodes_pure():
+    check_shares_workload_nodes(_kernels_py)
+
+
+def test_shares_workload_nodes_compiled(compiled):
+    check_shares_workload_nodes(compiled)
+
+
+@st.composite
+def search_case(draw, n):
+    T = draw(st.integers(1, 4))
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=T, max_size=T)))
+    masks = tuple(draw(st.lists(st.integers(0, 2**n - 1), min_size=T, max_size=T)))
+    bound = sum(c * bin(m).count("1") for c, m in zip(counts, masks)) // n
+    cap = draw(st.one_of(st.just(bound), st.integers(0, bound + 1)))
+    budget = draw(st.one_of(st.integers(1, 40), st.just(2000)))
+    return counts, masks, cap, budget
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_search_matches_reference(n, data):
+    # the only check past the compiled twin's 8 agents
+    counts, masks, cap, budget = data.draw(search_case(n))
+    expected = reference_search_max_partition(counts, masks, n, cap, budget)
+    assert _kernels_py.search_max_partition(counts, masks, n, cap, budget) == expected
