@@ -1,18 +1,16 @@
-"""Pure-Python twin of the compiled search kernels.
+"""The search kernels, in pure Python with integer arithmetic only.
 
-Semantics here and in ``_kernels.pyx`` must match exactly; the dispatch
-module picks whichever is importable. Both kernels are deliberately free
-of package imports so they stay self-contained.
+``mmsvote.kernels`` forwards to this module. It is deliberately free of
+package imports so that it stays self-contained.
 
 The two entry points:
 
 * ``min_assignment``: the adversary's side of the share game, a minimum
-  over all bundle-to-agent permutations. Here it is the Hungarian method,
-  O(n^3) in integer arithmetic; the compiled twin still runs a
-  branch-and-bound, which returns the same value.
+  over all bundle-to-agent permutations, solved by the Hungarian method
+  in O(n^3).
 * ``search_max_partition``: the agent's side, an exhaustive maximum over
   placements of interchangeable decision types into labeled bundles.
-  Here it carries one assignment state from node to node (the dynamic
+  It carries one assignment state from node to node (the dynamic
   Hungarian method of Mills-Tettey, Stentz & Dias 2007): a node only
   raises the entries of a few bundles, so it re-augments just the bundles
   whose matched entry rose, instead of solving from scratch.
@@ -21,8 +19,6 @@ Both run on one shortest-augmenting-path step, ``_augment``.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def _augment(
@@ -88,8 +84,7 @@ def min_assignment(bundle_sums: list[list[int]]) -> int:
     1955; Jonker & Volgenant 1987): starting from an empty matching and
     zero potentials, ``_augment`` matches one bundle at a time in O(n^2),
     so O(n^3) in all. The arithmetic is on ints only, so the value is
-    exact, and entries may be any ints (the compiled twin's pruning needs
-    them nonnegative, as agreement counts are).
+    exact, and entries may be any ints.
     """
     n = len(bundle_sums)
     u = [0] * n  # bundle (row) potentials

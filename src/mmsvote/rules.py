@@ -31,7 +31,6 @@ serializes to JSON so long runs can be checkpointed and replayed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -50,7 +49,6 @@ __all__ = [
     "GracefulMap",
     "GracefulMapError",
     "standard_pattern",
-    "standard_pattern_utility",
     "MuffledMajority3",
     "DeferredAmbiguity4",
     "InternalInconsistencyError",
@@ -417,33 +415,6 @@ def standard_pattern(n: int) -> Callable[[CanonicalType], tuple[str, ...]]:
         return split if ctype.kind == "split" else tie
 
     return pattern
-
-
-def standard_pattern_utility(matrix: PreferenceMatrix, i: int) -> int:
-    """Closed form for agent ``i``'s utility under the 4-agent standard
-    graceful rule, valid when every tie type occurs an even number of
-    times.
-
-    Each cycle of a sole-minority type hands the majority three wins and
-    the minority one, so a type opposing ``i`` alone yields
-    ``ceil(3c/4)`` wins for everyone else and ``floor(c/4)`` for ``i``;
-    even tie counts split evenly. Checked against the actual run in the
-    tests.
-    """
-    if matrix.n != 4:
-        raise ValueError("closed form applies to 4-agent instances")
-    if not 0 <= i < 4:
-        raise ValueError(f"agent index {i} out of range")
-    solo, ties, consensus = n4_counts(matrix)
-    if any(t % 2 for t in ties):
-        raise ValueError("closed form requires even tie counts")
-    total = consensus + sum(ties) // 2
-    for j in range(4):
-        if j == i:
-            total += solo[j] // 4
-        else:
-            total += math.ceil(3 * solo[j] / 4)
-    return total
 
 
 class _GracefulStepper(Stepper):

@@ -19,9 +19,9 @@ decisions with the same canonical type are interchangeable for every
 agreement term, so it enumerates compositions of per-type multiplicities
 into bundles instead of raw n^m partitions, prunes bundle-relabeling
 symmetry, and bounds-and-cuts with the permutation minimum of the
-partial placement. The enumeration core lives in ``mmsvote.kernels``
-(compiled when available); exceeding the configured node budget raises,
-it never degrades to an approximation.
+partial placement. The enumeration core lives in ``mmsvote.kernels``;
+exceeding the configured node budget raises, it never degrades to an
+approximation.
 """
 
 from __future__ import annotations
@@ -227,9 +227,9 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
 
 def partition_guarantee(matrix: PreferenceMatrix, i: int, partition: Partition) -> int:
     """Exact min over all n! bundle-to-agent permutations of agent i's
-    agreement total; the pure kernel finds it in O(n^3) without
-    enumerating them. This is the certificate-checking primitive: for any
-    partition it lower-bounds mms_adapt, with equality on a witness."""
+    agreement total; the kernel finds it in O(n^3) without enumerating
+    them. This is the certificate-checking primitive: for any partition
+    it lower-bounds mms_adapt, with equality on a witness."""
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     checked = Partition.of(partition.bundles, n_agents=matrix.n, n_decisions=matrix.m)

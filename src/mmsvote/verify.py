@@ -250,6 +250,9 @@ def exhaustive_check(
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     threshold = Fraction(threshold)
+    if threshold <= 0:
+        # every outcome meets a non-positive share fraction, so no audit could fail
+        raise ValueError(f"threshold must be positive, got {threshold}")
 
     if sample is not None:
         if sample < 1:

@@ -7,6 +7,7 @@ outcome bit strings, no type collapsing, no pruning, no shared code with
 slow and obvious.
 """
 
+import math
 from itertools import permutations, product
 
 
@@ -57,6 +58,45 @@ def naive_mnw(matrix):
         if best_key is None or key > best_key:
             best_key, best_out, best_us = key, bits, us
     return best_out, best_us
+
+
+def standard_pattern_utility(matrix, i):
+    """Closed form for agent ``i``'s utility under the 4-agent standard
+    graceful rule (``ptrr-generalized`` at n = 4), valid when every tie
+    type occurs an even number of times.
+
+    Each cycle of a sole-minority type hands the majority three wins and
+    the minority one, so a type opposing ``i`` alone yields
+    ``ceil(3c/4)`` wins for everyone else and ``floor(c/4)`` for ``i``;
+    even tie counts split evenly. The type counts are read off the raw
+    columns, without the package's census.
+    """
+    if matrix.n != 4:
+        raise ValueError("closed form applies to 4-agent instances")
+    if not 0 <= i < 4:
+        raise ValueError(f"agent index {i} out of range")
+    solo = [0] * 4  # decisions where agent a alone is in the minority
+    ties = {}  # 2-2 decisions, keyed by the first agent's partner
+    consensus = 0
+    for j in range(matrix.m):
+        column = [matrix.rows[a][j] for a in range(4)]
+        ones = sum(column)
+        if ones in (0, 4):
+            consensus += 1
+        elif ones == 2:
+            partner = next(a for a in (1, 2, 3) if column[a] == column[0])
+            ties[partner] = ties.get(partner, 0) + 1
+        else:
+            solo[next(a for a in range(4) if column.count(column[a]) == 1)] += 1
+    if any(t % 2 for t in ties.values()):
+        raise ValueError("closed form requires even tie counts")
+    total = consensus + sum(ties.values()) // 2
+    for j in range(4):
+        if j == i:
+            total += solo[j] // 4
+        else:
+            total += math.ceil(3 * solo[j] / 4)
+    return total
 
 
 def random_matrix(rng, n, m):

@@ -261,6 +261,13 @@ def test_search_threshold_flag(capsys):
         "--max-decisions", "4", "--threshold", "3/4",
     )
     assert code == 0 and out.strip() == "none"
+    # a non-positive threshold would pass every audit vacuously
+    for threshold in ("0", "-1/2"):
+        code, out, err = run_cli(
+            capsys, "search", "--rule", "always-0", "--agents", "3",
+            "--max-decisions", "3", f"--threshold={threshold}",
+        )
+        assert code == 2 and out == "" and "threshold must be positive" in err
 
 
 def test_search_sampling_flags(capsys):

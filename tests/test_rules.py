@@ -25,10 +25,9 @@ from mmsvote.rules import (
     nash_welfare,
     run_rule,
     standard_pattern,
-    standard_pattern_utility,
 )
 from mmsvote.shares import SearchBudgetExceeded, mms_adapt_all
-from oracles import naive_mnw, random_matrix
+from oracles import naive_mnw, random_matrix, standard_pattern_utility
 
 EXAMPLE_3x9 = PreferenceMatrix.from_rows(
     [

@@ -157,6 +157,9 @@ def test_exhaustive_rejections():
     for sample in (0, -3):
         with pytest.raises(ValueError, match="sample"):
             exhaustive_check("majority", 3, 2, sample=sample, seed=1)
+    for threshold in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="threshold"):
+            exhaustive_check("always-0", 3, 3, threshold=threshold)
 
 
 def test_sampling_reproducible():
