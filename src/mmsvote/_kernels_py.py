@@ -10,15 +10,20 @@ The two entry points:
   in O(n^3).
 * ``search_max_partition``: the agent's side, an exhaustive maximum over
   placements of interchangeable decision types into labeled bundles.
-  It carries one assignment state from node to node (the dynamic
-  Hungarian method of Mills-Tettey, Stentz & Dias 2007): a node only
-  raises the entries of a few bundles, so it re-augments just the bundles
-  whose matched entry rose, instead of solving from scratch.
+  Each type's splits over the bundles come from ``_compositions``, which
+  advances one row in place to its successor in descending lexicographic
+  order, so a node costs no call per bundle. The search carries one
+  assignment state from node to node (the dynamic Hungarian method of
+  Mills-Tettey, Stentz & Dias 2007): a node only raises the entries of a
+  few bundles, so it re-augments just the bundles whose matched entry
+  rose, instead of solving from scratch.
 
 Both run on one shortest-augmenting-path step, ``_augment``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 
 def _augment(
@@ -95,6 +100,63 @@ def min_assignment(bundle_sums: list[list[int]]) -> int:
     return sum(bundle_sums[match[a]][a] for a in range(n))
 
 
+def _compositions(row: list[int], total: int, classes: tuple[int, ...]) -> Iterator[None]:
+    """Write each composition of ``total`` into ``row`` in place, yielding
+    after each one, in descending lexicographic order.
+
+    Slot b continues a run when ``classes[b] == classes[b - 1]``; counts
+    may not rise along a run. The first composition is greedy, and so is
+    every refill: a slot takes all that is left, capped by the previous
+    slot's count when it continues that slot's run. The successor
+    decrements the rightmost slot j < n-1 whose later slots can absorb one
+    more unit, then refills them greedily. Later slots can always absorb
+    it when one of them opens a run; when all of them continue j's run
+    they hold at most ``(row[j] - 1) * (n - 1 - j)``.
+    """
+    n = len(row)
+    row[0] = total
+    for b in range(1, n):
+        row[b] = 0
+    same = [False] + [classes[b] == classes[b - 1] for b in range(1, n)]
+    last = n - 1  # the first slot of the final run
+    while same[last]:
+        last -= 1
+    top = 0 if total else -1  # the last nonzero slot
+    while True:
+        yield
+        # scan leftwards from the last nonzero slot below n-1; rest is the
+        # sum of the slots right of j
+        if top == n - 1:
+            rest = row[top]
+            j = n - 2
+        else:
+            rest = 0
+            j = top
+        while j >= 0:
+            c = row[j]
+            if c and (j < last or rest < (c - 1) * (n - 1 - j)):
+                break
+            rest += c
+            j -= 1
+        else:
+            return
+        c -= 1
+        row[j] = c
+        rest += 1
+        k = j
+        while rest:
+            k += 1
+            if same[k] and c < rest:
+                rest -= c
+            else:
+                c = rest
+                rest = 0
+            row[k] = c
+        for b in range(k + 1, top + 1):
+            row[b] = 0
+        top = k
+
+
 def search_max_partition(
     counts: tuple[int, ...],
     masks: tuple[int, ...],
@@ -111,7 +173,10 @@ def search_max_partition(
     is the same event as agreeing with the reference agent). Placements
     are enumerated isomorph-free: bundles with identical placement history
     are interchangeable, so counts are forced nonincreasing inside each
-    interchangeability class.
+    interchangeability class. A class is a contiguous run of bundles, and
+    type t's splits are visited by ``_compositions``, which steps one
+    row in place from each split to the next in descending lexicographic
+    order instead of filling it slot by slot.
 
     Each node's permutation minimum comes from an assignment state (bundle
     and agent potentials, matching) kept for the current bundle sums: it
@@ -157,66 +222,52 @@ def search_max_partition(
                 best = value
                 best_comp = tuple(tuple(row) for row in comp)
             return best >= cap
-
-        def fill(j: int, remaining: int) -> bool:
-            nonlocal nodes, out_of_budget
-            if j == n:
-                if remaining:
-                    return False
-                nodes += 1
-                if nodes > node_budget:
-                    out_of_budget = True
-                    return True
-                row = comp[t]
-                agents = agreeing[t]
+        row = comp[t]
+        agents = agreeing[t]
+        for _ in _compositions(row, counts[t], classes):
+            nodes += 1
+            if nodes > node_budget:
+                out_of_budget = True
+                return True
+            for b in range(n):
+                c = row[b]
+                if c:
+                    Bb = B[b]
+                    for a in agents:
+                        Bb[a] += c
+            # entries only rose, so the potentials stay feasible and a
+            # matched pair stays tight unless its own entry rose: unmatch
+            # those bundles and re-augment each one
+            loose = [a for a in agents if row[match[a]]]
+            node_value = value
+            if loose:
+                saved = u[:], v[:], match[:]
+                bundles = [match[a] for a in loose]
+                for a in loose:
+                    match[a] = -1
+                for b in bundles:
+                    _augment(B, u, v, match, b)
+                node_value = sum(B[match[a]][a] for a in range(n))
+            # each undecided column can add at most 1 to every permutation sum
+            if node_value + suffix[t + 1] > best:
+                # counts never rise inside a class, so refining by
+                # (class, count) keeps every class a contiguous run
+                refined: dict[tuple[int, int], int] = {}
+                new_classes = []
                 for b in range(n):
-                    c = row[b]
-                    if c:
-                        Bb = B[b]
-                        for a in agents:
-                            Bb[a] += c
-                # entries only rose, so the potentials stay feasible and a
-                # matched pair stays tight unless its own entry rose: unmatch
-                # those bundles and re-augment each one
-                loose = [a for a in agents if row[match[a]]]
-                node_value = value
-                if loose:
-                    saved = u[:], v[:], match[:]
-                    bundles = [match[a] for a in loose]
-                    for a in loose:
-                        match[a] = -1
-                    for b in bundles:
-                        _augment(B, u, v, match, b)
-                    node_value = sum(B[match[a]][a] for a in range(n))
-                # each undecided column can add at most 1 to every permutation sum
-                if node_value + suffix[t + 1] > best:
-                    refined: dict[tuple[int, int], int] = {}
-                    new_classes = []
-                    for b in range(n):
-                        key = (classes[b], row[b])
-                        new_classes.append(refined.setdefault(key, len(refined)))
-                    if place(t + 1, tuple(new_classes), node_value):
-                        return True
-                if loose:
-                    u[:], v[:], match[:] = saved
-                for b in range(n):
-                    c = row[b]
-                    if c:
-                        Bb = B[b]
-                        for a in agents:
-                            Bb[a] -= c
-                return False
-            hi = remaining
-            if j > 0 and classes[j] == classes[j - 1]:
-                hi = min(hi, comp[t][j - 1])
-            for c in range(hi, -1, -1):
-                comp[t][j] = c
-                if fill(j + 1, remaining - c):
+                    key = (classes[b], row[b])
+                    new_classes.append(refined.setdefault(key, len(refined)))
+                if place(t + 1, tuple(new_classes), node_value):
                     return True
-            comp[t][j] = 0
-            return False
-
-        return fill(0, counts[t])
+            if loose:
+                u[:], v[:], match[:] = saved
+            for b in range(n):
+                c = row[b]
+                if c:
+                    Bb = B[b]
+                    for a in agents:
+                        Bb[a] -= c
+        return False
 
     place(0, tuple([0] * n), 0)
     if out_of_budget:

@@ -122,6 +122,8 @@ def uniform_bound(matrix: PreferenceMatrix, i: int) -> int:
     """floor(RDS_i): a certified upper bound on the adaptive share (the
     uniformly random permutation is never better for the agent than the
     worst one)."""
+    if not 0 <= i < matrix.n:
+        raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     return math.floor(rds(matrix)[i])
 
 

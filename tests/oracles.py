@@ -122,10 +122,13 @@ def canonical_census_multisets(n, m_max):
 
 
 def reference_search_max_partition(counts, masks, n, cap, node_budget):
-    """The share search without warm starts: the same enumeration, node
+    """The share search without warm starts: the same visiting order, node
     accounting and pruning as ``_kernels_py.search_max_partition``, but the
     permutation minimum is solved from scratch at every node and once more
-    at every leaf. ``min_assignment`` is tied to brute force on its own."""
+    at every leaf. ``min_assignment`` is tied to brute force on its own.
+    It keeps the recursive slot-by-slot enumerator ``fill``, which tries
+    each slot's counts from high to low; that ties the kernel's in-place
+    successor step to an independently written order."""
     from mmsvote._kernels_py import min_assignment
 
     T = len(counts)

@@ -1,11 +1,14 @@
 """The search kernels against the naive oracles in ``tests/oracles.py``:
 the permutation minimum against brute force and, past its reach, against
-metamorphic relations; the warm-started share search against a
+metamorphic relations; the composition successor against a sorted
+brute-force enumeration; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
 accounting and budget behavior); and the node counts of the ``shares``
-benchmark workload, pinned.
+benchmark workload and of a batch of small 3- and 4-agent instances,
+pinned.
 """
 
+import itertools
 import random
 
 import pytest
@@ -144,6 +147,46 @@ def test_search_parity_under_budget_pressure():
             assert comp is None and nodes == budget + 1
 
 
+def contiguous_runs(n):
+    """Every split of n slots into contiguous class runs, as class tuples."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        classes = [0]
+        for cut in cuts:
+            classes.append(classes[-1] + cut)
+        yield tuple(classes)
+
+
+def enumerate_compositions(total, classes):
+    row = [-1] * len(classes)
+    return [tuple(row) for _ in _kernels_py._compositions(row, total, classes)]
+
+
+def test_compositions_order():
+    for n in range(1, 7):
+        splits = {total: [] for total in range(9)}
+        for p in itertools.product(range(9), repeat=n):
+            if sum(p) <= 8:
+                splits[sum(p)].append(p)
+        for classes in contiguous_runs(n):
+            within = [b for b in range(1, n) if classes[b] == classes[b - 1]]
+            for total, candidates in splits.items():
+                expected = sorted(
+                    (p for p in candidates if all(p[b] <= p[b - 1] for b in within)),
+                    reverse=True,
+                )
+                assert enumerate_compositions(total, classes) == expected, (n, classes, total)
+
+
+def test_compositions_capacity_boundary():
+    # one run holds the whole tail after slot j and rest + 1 == (c - 1) * (n - 1 - j):
+    # the decrement just fits, and the next one does not
+    rows = enumerate_compositions(6, (0, 0, 0))
+    assert rows[-2:] == [(3, 2, 1), (2, 2, 2)]
+    rows = enumerate_compositions(7, (0, 1, 1, 1))
+    i = rows.index((1, 3, 2, 1))
+    assert rows[i + 1 : i + 3] == [(1, 2, 2, 2), (0, 7, 0, 0)]
+
+
 def test_search_empty_types():
     assert kernels.search_max_partition((), (), 5, 0, 100) == (0, (), 0, True)
 
@@ -176,28 +219,33 @@ SHARES_WORKLOAD = [
 ]
 
 
+def agent_search(matrix, i):
+    """Agent i's share search as the solver runs it: (share, nodes, items)."""
+    consensus, items = shares._solver_items(matrix, i)
+    counts = tuple(c for c, _ in items)
+    masks = tuple(m for _, m in items)
+    cap = shares._items_cap(matrix.n, items)
+    best, _, nodes, done = _kernels_py.search_max_partition(counts, masks, matrix.n, cap, 10**7)
+    assert done
+    return consensus + best, nodes, items
+
+
 def test_shares_workload_nodes_pure():
     searched = {}
     for text, pinned in SHARES_WORKLOAD:
         matrix = parse_matrix(text)
         for i, expected in enumerate(pinned):
-            consensus, items = shares._solver_items(matrix, i)
-            counts = tuple(c for c, _ in items)
-            masks = tuple(m for _, m in items)
-            cap = shares._items_cap(matrix.n, items)
-            best, _, nodes, done = _kernels_py.search_max_partition(
-                counts, masks, matrix.n, cap, 10**7
-            )
-            assert done and (consensus + best, nodes) == expected, (text, i)
+            share, nodes, items = agent_search(matrix, i)
+            assert (share, nodes) == expected, (text, i)
             searched[(matrix.n, items)] = nodes
     # the solver caches equal searches, so the benchmark runs each once
     assert len(searched) == 24 and sum(searched.values()) == 45_150
 
 
 @st.composite
-def search_case(draw, n):
+def search_case(draw, n, count_max=4):
     T = draw(st.integers(1, 4))
-    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=T, max_size=T)))
+    counts = tuple(draw(st.lists(st.integers(1, count_max), min_size=T, max_size=T)))
     masks = tuple(draw(st.lists(st.integers(0, 2**n - 1), min_size=T, max_size=T)))
     bound = sum(c * bin(m).count("1") for c, m in zip(counts, masks)) // n
     cap = draw(st.one_of(st.just(bound), st.integers(0, bound + 1)))
@@ -213,3 +261,30 @@ def test_search_matches_reference(n, data):
     counts, masks, cap, budget = data.draw(search_case(n))
     expected = reference_search_max_partition(counts, masks, n, cap, budget)
     assert _kernels_py.search_max_partition(counts, masks, n, cap, budget) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_search_long_runs_match_reference(n, data):
+    # the sweep workload's shapes: few agents, up to a dozen decisions of a
+    # type, so long runs of equal bundles meet the enumeration's capacity check
+    counts, masks, cap, budget = data.draw(search_case(n, count_max=12))
+    expected = reference_search_max_partition(counts, masks, n, cap, budget)
+    assert _kernels_py.search_max_partition(counts, masks, n, cap, budget) == expected
+
+
+def test_small_instances_nodes_pinned():
+    # random 3x1-10 and 4x1-8 matrices, every agent, as in the sweep workload
+    rng = random.Random(4321)
+    searches = nodes = total_share = 0
+    for _ in range(300):
+        n, m = (3, rng.randint(1, 10)) if rng.random() < 0.5 else (4, rng.randint(1, 8))
+        rows = ["".join(str(rng.randint(0, 1)) for _ in range(m)) for _ in range(n)]
+        matrix = parse_matrix(f"{n} {m}\n" + "\n".join(rows) + "\n")
+        for i in range(n):
+            share, used, _ = agent_search(matrix, i)
+            searches += 1
+            nodes += used
+            total_share += share
+    assert (searches, nodes, total_share) == (1047, 16_759, 2560)

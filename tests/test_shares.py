@@ -81,6 +81,10 @@ def test_uniform_bound_examples():
     assert uniform_bound(EXAMPLE_3x9, 0) == 5
     assert [uniform_bound(EXAMPLE_4x2, i) for i in range(4)] == [1, 1, 1, 1]
     assert uniform_bound(all_consensus(3, 7), 2) == 7
+    # -1 once returned the last agent's bound, and n raised a bare IndexError
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"agent index {i} out of range for n=3"):
+            uniform_bound(EXAMPLE_3x9, i)
 
 
 def test_mms_matches_naive_oracle_exhaustive_n3():
