@@ -28,7 +28,7 @@ from collections.abc import Iterator
 
 def _augment(
     bundle_sums: list[list[int]], u: list[int], v: list[int], match: list[int], j: int
-) -> None:
+) -> int:
     """Match the unmatched bundle j along one shortest augmenting path.
 
     Every reduced cost ``bundle_sums[r][a] - u[r] - v[a]`` must be
@@ -37,6 +37,12 @@ def _augment(
     is the bundle agent a decides, -1 if none; column n of ``v`` and
     ``match`` is the virtual root. Dijkstra over reduced costs from bundle
     j, O(n^2), ints only.
+
+    Returns the sum of the Dijkstra steps' deltas: the rise of
+    ``sum(u) + sum(v[:n])``, since each step raises u and lowers v by the
+    same delta on every real agent of the tree and raises bundle j's u
+    once more. On a full matching with every matched pair tight, that sum
+    is the matched total.
     """
     n = len(bundle_sums)
     row = bundle_sums[j]
@@ -48,8 +54,10 @@ def _augment(
     match[n] = j
     delta = min(minv)
     a1 = minv.index(delta)
+    rise = 0
     while True:
         if delta:
+            rise += delta
             for a in tree:
                 u[match[a]] += delta
                 v[a] -= delta
@@ -78,6 +86,7 @@ def _augment(
         a0 = way[a1]
         match[a1] = match[a0]
         a1 = a0
+    return rise
 
 
 def min_assignment(bundle_sums: list[list[int]]) -> int:
@@ -182,8 +191,9 @@ def search_max_partition(
     and agent potentials, matching) kept for the current bundle sums: it
     starts tight on the identity for the all-zero sums, a node unmatches
     the bundles whose matched entry it raised and re-augments each with
-    ``_augment``, and backtracking restores the saved state. A leaf reuses
-    its node's value.
+    ``_augment``, and backtracking restores the saved state. A node's
+    value is its parent's plus the rises the re-augmentations return, and
+    a leaf reuses its node's value.
 
     ``cap`` is a certified upper bound on the value; reaching it stops the
     search. ``node_budget`` bounds the number of per-type compositions
@@ -246,8 +256,7 @@ def search_max_partition(
                 for a in loose:
                     match[a] = -1
                 for b in bundles:
-                    _augment(B, u, v, match, b)
-                node_value = sum(B[match[a]][a] for a in range(n))
+                    node_value += _augment(B, u, v, match, b)
             # each undecided column can add at most 1 to every permutation sum
             if node_value + suffix[t + 1] > best:
                 # counts never rise inside a class, so refining by

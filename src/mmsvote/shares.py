@@ -22,6 +22,15 @@ symmetry, and bounds-and-cuts with the permutation minimum of the
 partial placement. The enumeration core lives in ``mmsvote.kernels``;
 exceeding the configured node budget raises, it never degrades to an
 approximation.
+
+The share depends on the agreement structure only up to a relabelling of
+the agents: renaming them permutes the columns of every bundle-sum
+matrix, and the permutation minimum absorbs that. Searches are cached
+twice, both keyed with the node budget: first on the agent's raw items;
+on a miss, the agents are renamed by an invariant signature (the
+refinement step of canonical labelling, McKay & Piperno 2014) and the
+search is cached on the relabelled items, so views that differ only by
+agent labels are mostly searched once.
 """
 
 from __future__ import annotations
@@ -177,8 +186,58 @@ def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
     return sum(count * bin(mask).count("1") for count, mask in items) // n
 
 
+def _relabel(
+    n: int, items: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """Rename the agents so that views equal up to agent labels tend to
+    meet in one key.
+
+    Each agent's signature is the sorted multiset of (count, popcount of
+    mask) over the items whose mask contains it, an invariant of the
+    relabelling; agents are renamed in the order of (signature, index),
+    every mask is rewritten under the new names, and the items are sorted
+    again by descending count, then mask. Returns the relabelled items and,
+    for each of them, the index of the item it came from.
+
+    Renaming agents permutes the columns of every bundle-sum matrix, which
+    the permutation minimum absorbs, so any renaming keeps the share and
+    keeps every composition a witness. The index tie-break only costs
+    cache hits between views the signatures do not tell apart.
+    """
+    signatures: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for count, mask in items:
+        key = (count, mask.bit_count())
+        for a in range(n):
+            if mask >> a & 1:
+                signatures[a].append(key)
+    order = sorted(range(n), key=lambda a: (sorted(signatures[a]), a))
+    relabelled = []
+    for t, (count, mask) in enumerate(items):
+        renamed = 0
+        for k, a in enumerate(order):
+            if mask >> a & 1:
+                renamed |= 1 << k
+        relabelled.append((-count, renamed, t))
+    relabelled.sort()
+    return tuple((-c, mask) for c, mask, _ in relabelled), [t for _, _, t in relabelled]
+
+
 @lru_cache(maxsize=65536)
 def _search(n: int, items: tuple[tuple[int, int], ...], budget: int):
+    """``(best, composition)`` for agent items as ``_solver_items`` gives
+    them, cached on the raw items; a miss searches their relabelled class
+    and puts the composition rows back in the items' order."""
+    relabelled, source = _relabel(n, items)
+    best, comp = _search_class(n, relabelled, budget)
+    rows: list[tuple[int, ...]] = [()] * len(items)
+    for t, row in zip(source, comp):
+        rows[t] = row
+    return best, tuple(rows)
+
+
+@lru_cache(maxsize=65536)
+def _search_class(n: int, items: tuple[tuple[int, int], ...], budget: int):
+    """The kernel search for relabelled items: one per relabelled key."""
     counts = tuple(c for c, _ in items)
     masks = tuple(m for _, m in items)
     cap = _items_cap(n, items)
@@ -208,8 +267,9 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     """An optimal partition witnessing mms_adapt(matrix, i).
 
     The witness is the first optimum in the solver's canonical
-    (symmetry-pruned) enumeration order; consensus columns all sit in the
-    first bundle. ``partition_guarantee`` of the result equals the share.
+    (symmetry-pruned) enumeration order of the relabelled items, mapped
+    back to agent i's own items; consensus columns all sit in the first
+    bundle. ``partition_guarantee`` of the result equals the share.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")

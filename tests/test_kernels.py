@@ -5,7 +5,8 @@ brute-force enumeration; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
 accounting and budget behavior); and the node counts of the ``shares``
 benchmark workload and of a batch of small 3- and 4-agent instances,
-pinned.
+pinned, both on the raw solver items and over the relabelling classes
+the solver actually searches.
 """
 
 import itertools
@@ -219,15 +220,38 @@ SHARES_WORKLOAD = [
 ]
 
 
-def agent_search(matrix, i):
-    """Agent i's share search as the solver runs it: (share, nodes, items)."""
-    consensus, items = shares._solver_items(matrix, i)
+def items_search(n, items):
+    """(best, nodes) of the kernel on solver items, run to completion."""
     counts = tuple(c for c, _ in items)
     masks = tuple(m for _, m in items)
-    cap = shares._items_cap(matrix.n, items)
-    best, _, nodes, done = _kernels_py.search_max_partition(counts, masks, matrix.n, cap, 10**7)
+    best, _, nodes, done = _kernels_py.search_max_partition(
+        counts, masks, n, shares._items_cap(n, items), 10**7
+    )
     assert done
+    return best, nodes
+
+
+def agent_search(matrix, i):
+    """Agent i's share search on its raw solver items, before the solver
+    relabels the agents: (share, nodes, items)."""
+    consensus, items = shares._solver_items(matrix, i)
+    best, nodes = items_search(matrix.n, items)
     return consensus + best, nodes, items
+
+
+def relabelled_searches(matrices):
+    """The searches the solver runs for every agent of the matrices, one
+    per relabelled key: {(n, relabelled items): nodes}. Each agrees with
+    the raw search on the share."""
+    searched = {}
+    for matrix in matrices:
+        for i in range(matrix.n):
+            items = shares._solver_items(matrix, i)[1]
+            key = (matrix.n, shares._relabel(matrix.n, items)[0])
+            if key not in searched:
+                best, searched[key] = items_search(*key)
+                assert best == items_search(matrix.n, items)[0]
+    return searched
 
 
 def test_shares_workload_nodes_pure():
@@ -238,8 +262,14 @@ def test_shares_workload_nodes_pure():
             share, nodes, items = agent_search(matrix, i)
             assert (share, nodes) == expected, (text, i)
             searched[(matrix.n, items)] = nodes
-    # the solver caches equal searches, so the benchmark runs each once
+    # distinct raw searches: this pins the kernel, not the solver's cache,
+    # which runs one search per relabelled key (next test)
     assert len(searched) == 24 and sum(searched.values()) == 45_150
+
+
+def test_shares_workload_relabelled_searches():
+    searched = relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD)
+    assert len(searched) == 22 and sum(searched.values()) == 33_935
 
 
 @st.composite
@@ -274,17 +304,47 @@ def test_search_long_runs_match_reference(n, data):
     assert _kernels_py.search_max_partition(counts, masks, n, cap, budget) == expected
 
 
-def test_small_instances_nodes_pinned():
-    # random 3x1-10 and 4x1-8 matrices, every agent, as in the sweep workload
-    rng = random.Random(4321)
-    searches = nodes = total_share = 0
-    for _ in range(300):
+def small_instances(seed=4321, count=300):
+    """Random 3x1-10 and 4x1-8 matrices, about half each, as in the sweep workload."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n, m = (3, rng.randint(1, 10)) if rng.random() < 0.5 else (4, rng.randint(1, 8))
         rows = ["".join(str(rng.randint(0, 1)) for _ in range(m)) for _ in range(n)]
-        matrix = parse_matrix(f"{n} {m}\n" + "\n".join(rows) + "\n")
-        for i in range(n):
+        yield parse_matrix(f"{n} {m}\n" + "\n".join(rows) + "\n")
+
+
+def test_small_instances_nodes_pinned():
+    searches = nodes = total_share = 0
+    for matrix in small_instances():
+        for i in range(matrix.n):
             share, used, _ = agent_search(matrix, i)
             searches += 1
             nodes += used
             total_share += share
     assert (searches, nodes, total_share) == (1047, 16_759, 2560)
+
+
+def brute_force_class(n, items):
+    """The least relabelled item tuple over all n! agent relabellings."""
+    keys = []
+    for perm in itertools.permutations(range(n)):
+        renamed = []
+        for count, mask in items:
+            bits = sum(1 << perm[a] for a in range(n) if mask >> a & 1)
+            renamed.append((count, bits))
+        keys.append(tuple(sorted(renamed, key=lambda cm: (-cm[0], cm[1]))))
+    return min(keys)
+
+
+def test_small_instances_relabelled_searches():
+    matrices = list(small_instances())
+    searched = relabelled_searches(matrices)
+    assert len(searched) == 281 and sum(searched.values()) == 7_720
+    # at n <= 4 the signatures tell every pair of classes apart: one
+    # search per relabelling class, no more
+    classes = set()
+    for matrix in matrices:
+        for i in range(matrix.n):
+            items = shares._solver_items(matrix, i)[1]
+            classes.add((matrix.n, brute_force_class(matrix.n, items)))
+    assert len(classes) == len(searched)

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmsvote.model import Partition, PreferenceMatrix
+from mmsvote.model import Partition, PreferenceMatrix, parse_matrix
 from mmsvote.shares import (
     SearchBudgetExceeded,
     effective_budget,
@@ -19,6 +21,7 @@ from mmsvote.shares import (
     uniform_bound,
 )
 from oracles import canonical_census_multisets, naive_mms_adapt, random_matrix
+from test_kernels import SHARES_WORKLOAD, small_instances
 
 EXAMPLE_3x9 = PreferenceMatrix.from_rows(
     [
@@ -117,18 +120,32 @@ def test_share_dominance_chain_random():
             assert shares[i] <= uniform_bound(M, i) <= dictator[i]
 
 
-def test_mms_invariance_under_column_permutation_and_negation():
-    rng = random.Random(3571)
-    for _ in range(40):
-        n = rng.randint(3, 4)
-        m = rng.randint(1, 6)
-        M = random_matrix(rng, n, m)
-        cols = list(M.columns())
-        rng.shuffle(cols)
-        j = rng.randrange(m)
-        cols[j] = tuple(1 - b for b in cols[j])
-        M2 = PreferenceMatrix.from_columns(cols, n_agents=n)
-        assert mms_adapt_all(M) == mms_adapt_all(M2)
+@st.composite
+def small_matrix(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(0, 16 - n))
+    row = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    return PreferenceMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(M=small_matrix(), data=st.data())
+def test_mms_metamorphic_relabel_columns_and_cap(M, data):
+    # relations that need no oracle, up to 8 agents
+    n, m = M.n, M.m
+    values = mms_adapt_all(M)
+    perm = data.draw(st.permutations(range(n)))
+    relabelled = PreferenceMatrix.from_columns(
+        [[col[a] for a in perm] for col in M.columns()], n_agents=n
+    )
+    assert mms_adapt_all(relabelled) == tuple(values[a] for a in perm)
+    order = data.draw(st.permutations(range(m)))
+    flips = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    cols = list(M.columns())
+    moved = [tuple(1 - b if flip else b for b in cols[j]) for j, flip in zip(order, flips)]
+    assert mms_adapt_all(PreferenceMatrix.from_columns(moved, n_agents=n)) == values
+    for i in range(n):
+        assert values[i] <= uniform_bound(M, i)
 
 
 def test_partition_guarantee_examples():
@@ -151,12 +168,15 @@ def test_partition_guarantee_validates():
 
 def test_mms_partition_witness_attains_share():
     rng = random.Random(1213)
-    for _ in range(60):
-        n = rng.randint(3, 4)
-        M = random_matrix(rng, n, rng.randint(0, 6))
-        for i in range(n):
+    matrices = [random_matrix(rng, rng.randint(3, 4), rng.randint(0, 6)) for _ in range(60)]
+    # many of these witnesses come from a search run on another agent's
+    # relabelled items, mapped back to this agent's own item order
+    matrices += [parse_matrix(text) for text, _ in SHARES_WORKLOAD]
+    matrices += small_instances(seed=2718, count=150)
+    for M in matrices:
+        for i in range(M.n):
             witness = mms_partition(M, i)
-            assert partition_guarantee(M, i, witness) == mms_adapt(M, i)
+            assert partition_guarantee(M, i, witness) == mms_adapt(M, i), (M.to_text(), i)
     witness = mms_partition(EXAMPLE_3x9, 1)
     assert partition_guarantee(EXAMPLE_3x9, 1, witness) == 6
 
@@ -199,10 +219,18 @@ def test_n3_bounds_dominate_shares():
 
 
 def test_budget_is_a_hard_error(monkeypatch):
-    monkeypatch.setenv("MMSVOTE_SEARCH_BUDGET", "1")
+    # the budget is in both the raw and the relabelled cache key: after a
+    # default-budget call has filled both, a tiny budget must still search,
+    # and fail, for the same agent and for a relabelled view of it
     M = random_matrix(random.Random(2), 4, 8)
-    with pytest.raises(SearchBudgetExceeded):
-        mms_adapt(M, 0)
+    swapped = PreferenceMatrix.from_rows([M.rows[1], M.rows[0], M.rows[2], M.rows[3]])
+    assert mms_adapt(M, 0) == mms_adapt(swapped, 1)
+    monkeypatch.setenv("MMSVOTE_SEARCH_BUDGET", "1")
+    for matrix, i in ((M, 0), (swapped, 1)):
+        with pytest.raises(SearchBudgetExceeded):
+            mms_adapt(matrix, i)
+        with pytest.raises(SearchBudgetExceeded):
+            mms_partition(matrix, i)
 
 
 def test_budget_env_override(monkeypatch):
