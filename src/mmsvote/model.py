@@ -17,12 +17,20 @@ Conventions
   it, when necessary, so that the first agent reads 0.
 * All values are immutable after construction and safe to share across
   threads.
+* Input is checked once, where it enters the package. The public
+  constructors (``PreferenceMatrix(...)``, ``from_rows``, ``from_columns``,
+  ``append_column``, ``CanonicalType(...)``), the parsers, ``canonicalize``
+  and ``utility`` reject anything that is not a 0/1 ``int`` (``bool`` is
+  read as its ``int``) or has the wrong length. Internal builders trust
+  bits the package made itself: the parsers, ``prefix``, ``drop_columns``
+  and ``type_census`` build their values without a second check.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -101,8 +109,17 @@ class PreferenceMatrix:
         object.__setattr__(self, "rows", tuple(clean))
 
     def __getstate__(self) -> dict:
-        # the cached type census is not serialized; it is rebuilt on demand
+        # the cached census and share views are not serialized; they are
+        # rebuilt on demand
         return {"rows": self.rows}
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "PreferenceMatrix":
+        """A matrix over rows already known to be nonempty, of equal width
+        and made of 0/1 ints; skips the constructor's checks."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     @property
     def n(self) -> int:
@@ -153,9 +170,7 @@ class PreferenceMatrix:
         """The sub-instance consisting of the first k decisions."""
         if not 0 <= k <= self.m:
             raise ValueError(f"prefix length {k} out of range for m={self.m}")
-        if k == 0:
-            return PreferenceMatrix.from_columns([], n_agents=self.n)
-        return PreferenceMatrix(tuple(row[:k] for row in self.rows))
+        return PreferenceMatrix._trusted(tuple(row[:k] for row in self.rows))
 
     def drop_columns(self, indices: Iterable[int]) -> "PreferenceMatrix":
         """A copy with the given 0-based columns removed (order preserved)."""
@@ -164,7 +179,7 @@ class PreferenceMatrix:
             if not 0 <= j < self.m:
                 raise ValueError(f"column index {j} out of range for m={self.m}")
         keep = [j for j in range(self.m) if j not in drop]
-        return PreferenceMatrix.from_columns([self.column(j) for j in keep], n_agents=self.n)
+        return PreferenceMatrix._trusted(tuple(tuple(row[j] for j in keep) for row in self.rows))
 
     def append_column(self, column: Sequence[int]) -> "PreferenceMatrix":
         return PreferenceMatrix.from_columns(list(self.columns()) + [tuple(column)], n_agents=self.n)
@@ -188,11 +203,13 @@ class CanonicalType:
 
     Two columns get the same CanonicalType exactly when they are equal or
     bitwise negations of each other. The ``kind`` of a type is read off
-    the popcount: "consensus" (all zeros), "split" (a strict majority
-    exists), or "tie" (both sides equal, only possible for even n).
+    the popcount when the type is made: "consensus" (all zeros), "split"
+    (a strict majority exists), or "tie" (both sides equal, only possible
+    for even n). It takes no part in equality or hashing.
     """
 
     bits: tuple[int, ...]
+    kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bits = _as_bits(self.bits, "canonical type")
@@ -201,27 +218,18 @@ class CanonicalType:
         if bits[0] != 0:
             raise ValueError("canonical orientation requires the first bit to be 0")
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "kind", _kind(bits))
 
     @property
     def n(self) -> int:
         return len(self.bits)
 
     @property
-    def kind(self) -> str:
-        ones = sum(self.bits)
-        if ones == 0:
-            return "consensus"
-        if 2 * ones == self.n:
-            return "tie"
-        return "split"
-
-    @property
     def minority_bit(self) -> int:
         """Which canonical bit value (0 or 1) the strict minority holds."""
-        ones = sum(self.bits)
-        if ones == 0 or 2 * ones == self.n:
+        if self.kind != "split":
             raise ValueError(f"type {self} has no strict minority")
-        return 1 if 2 * ones < self.n else 0
+        return 1 if 2 * sum(self.bits) < self.n else 0
 
     @property
     def minority(self) -> tuple[int, ...]:
@@ -240,6 +248,15 @@ class CanonicalType:
         return "".join(str(b) for b in self.bits)
 
 
+def _kind(bits: tuple[int, ...]) -> str:
+    ones = sum(bits)
+    if ones == 0:
+        return "consensus"
+    if 2 * ones == len(bits):
+        return "tie"
+    return "split"
+
+
 def canonicalize(column: Sequence[int]) -> tuple[CanonicalType, bool]:
     """Normalize a column to canonical orientation.
 
@@ -250,12 +267,17 @@ def canonicalize(column: Sequence[int]) -> tuple[CanonicalType, bool]:
     bits = _as_bits(column, "column")
     if not bits:
         raise ValueError("a column needs at least one agent")
+    return _canonical(bits)
+
+
+def _canonical(bits: tuple[int, ...]) -> tuple[CanonicalType, bool]:
+    """``canonicalize`` for a nonempty tuple of 0/1 ints, unchecked."""
     flipped = bits[0] == 1
     if flipped:
         bits = tuple(1 - b for b in bits)
-    # the bits are checked above, so skip the constructor's second pass
     ctype = object.__new__(CanonicalType)
     object.__setattr__(ctype, "bits", bits)
+    object.__setattr__(ctype, "kind", _kind(bits))
     return ctype, flipped
 
 
@@ -282,7 +304,7 @@ def type_census(matrix: PreferenceMatrix) -> Mapping[CanonicalType, CensusEntry]
         return census
     seen: dict[CanonicalType, tuple[list[int], list[bool]]] = {}
     for j, col in enumerate(matrix.columns()):
-        ctype, flip = canonicalize(col)
+        ctype, flip = _canonical(col)
         cols, flips = seen.setdefault(ctype, ([], []))
         cols.append(j)
         flips.append(flip)
@@ -370,10 +392,24 @@ def utility(matrix: PreferenceMatrix, outcome: Sequence[int], i: int) -> int:
     went the agent's way. ``i`` is 0-based."""
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
+    bits = _outcome_bits(matrix, outcome)
+    return sum(map(eq, matrix.rows[i], bits))
+
+
+def _outcome_bits(matrix: PreferenceMatrix, outcome: Sequence[int]) -> tuple[int, ...]:
     bits = _as_bits(outcome, "outcome")
     if len(bits) != matrix.m:
         raise ValueError(f"outcome has {len(bits)} bits, expected {matrix.m}")
-    return sum(1 for x, y in zip(matrix.rows[i], bits) if x == y)
+    return bits
+
+
+def _utilities(
+    matrix: PreferenceMatrix, outcome: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check ``outcome`` once and return it as bits, together with every
+    agent's utility under it."""
+    bits = _outcome_bits(matrix, outcome)
+    return bits, tuple(sum(map(eq, row, bits)) for row in matrix.rows)
 
 
 @dataclass(frozen=True)
@@ -416,6 +452,9 @@ class Partition:
         return len(self.bundles)
 
 
+_BIT_CHARS = frozenset("01")
+
+
 def parse_matrix(text: str) -> PreferenceMatrix:
     """Parse the instance text format, or its JSON alternative.
 
@@ -445,11 +484,11 @@ def parse_matrix(text: str) -> PreferenceMatrix:
     for i, raw in enumerate(lines[1:], start=1):
         if len(raw) != m:
             raise ParseError(f"row {i} has {len(raw)} characters, expected {m}", line=i + 1)
-        for j, ch in enumerate(raw):
-            if ch not in "01":
-                raise ParseError(f"invalid character {ch!r} in row {i}", line=i + 1, column=j + 1)
-        rows.append(tuple(int(ch) for ch in raw))
-    return PreferenceMatrix(tuple(rows))
+        if not _BIT_CHARS.issuperset(raw):
+            j, ch = next((j, ch) for j, ch in enumerate(raw) if ch not in _BIT_CHARS)
+            raise ParseError(f"invalid character {ch!r} in row {i}", line=i + 1, column=j + 1)
+        rows.append(tuple(map(int, raw)))
+    return PreferenceMatrix._trusted(tuple(rows))
 
 
 def _parse_json_matrix(text: str) -> PreferenceMatrix:
@@ -469,10 +508,10 @@ def _parse_json_matrix(text: str) -> PreferenceMatrix:
         raise ParseError(f'"rows" must list exactly {n} strings')
     parsed = []
     for i, raw in enumerate(rows, start=1):
-        if not isinstance(raw, str) or len(raw) != m or any(ch not in "01" for ch in raw):
+        if not isinstance(raw, str) or len(raw) != m or not _BIT_CHARS.issuperset(raw):
             raise ParseError(f"row {i} must be a string of {m} bits")
-        parsed.append(tuple(int(ch) for ch in raw))
-    return PreferenceMatrix(tuple(parsed))
+        parsed.append(tuple(map(int, raw)))
+    return PreferenceMatrix._trusted(tuple(parsed))
 
 
 def parse_outcome(text: str, m: int) -> tuple[int, ...]:

@@ -35,7 +35,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .model import CanonicalType, PreferenceMatrix, canonicalize, n4_counts, type_census, utility
+from .model import (
+    CanonicalType,
+    PreferenceMatrix,
+    _utilities,
+    canonicalize,
+    n4_counts,
+    type_census,
+)
 from .shares import SearchBudgetExceeded, effective_budget
 
 __all__ = [
@@ -120,19 +127,21 @@ class RuleTranscript:
     ) -> "RuleTranscript":
         """The transcript of ``outcome`` on ``matrix``, read off the type
         census: the k-th occurrence of a type carries counter k, and the
-        final counters are the census counts."""
+        final counters are the census counts. ``outcome`` is checked like
+        ``utility`` checks it, once for all agents."""
+        bits, utilities = _utilities(matrix, outcome)
         census = type_census(matrix)
         columns = list(matrix.columns())
         records: list = [None] * matrix.m
         for ctype, entry in census.items():
             for k, (j, flipped) in enumerate(zip(entry.occurrences, entry.flipped)):
-                records[j] = DecisionRecord(columns[j], ctype.bits, flipped, k, outcome[j])
+                records[j] = DecisionRecord(columns[j], ctype.bits, flipped, k, bits[j])
         return cls(
             rule=rule,
             n=matrix.n,
             records=tuple(records),
-            outcome=tuple(outcome),
-            utilities=tuple(utility(matrix, outcome, i) for i in range(matrix.n)),
+            outcome=bits,
+            utilities=utilities,
             counters={ctype: entry.count for ctype, entry in census.items()},
             details=details or {},
         )
@@ -422,6 +431,8 @@ class _GracefulStepper(Stepper):
         self.pattern = pattern
         self.n = n
         self.counters: dict[CanonicalType, int] = {}
+        # each type's checked token sequence, looked up on its first occurrence
+        self.tokens: dict[CanonicalType, tuple[str, ...]] = {}
 
     def decide(self, column: Sequence[int]) -> int:
         ctype, flipped = canonicalize(column)
@@ -429,7 +440,9 @@ class _GracefulStepper(Stepper):
             return column[0]
         k = self.counters.get(ctype, 0)
         self.counters[ctype] = k + 1
-        tokens = _check_tokens(ctype, self.pattern(ctype), self.n)
+        tokens = self.tokens.get(ctype)
+        if tokens is None:
+            tokens = self.tokens[ctype] = _check_tokens(ctype, self.pattern(ctype), self.n)
         return _resolve_token(tokens[k % len(tokens)], ctype, flipped)
 
 
@@ -532,16 +545,15 @@ def eta_vector(matrix: PreferenceMatrix) -> tuple[Fraction, Fraction, Fraction, 
     """
     if matrix.n != 4:
         raise ValueError("thresholds are defined for 4-agent instances")
+    return tuple(Fraction(q, 4) for q in _eta_quarters(matrix))
+
+
+def _eta_quarters(matrix: PreferenceMatrix) -> tuple[int, ...]:
+    """Four times each agent's ``eta_vector`` threshold, an integer."""
     solo, ties, consensus = n4_counts(matrix)
-    half_ties = Fraction(sum(ties), 2)
     total_alpha = sum(solo)
-    return tuple(
-        Fraction(3, 4) * (total_alpha - solo[i])
-        + Fraction(1, 4) * solo[i]
-        + consensus
-        + half_ties
-        for i in range(4)
-    )
+    rest = 4 * consensus + 2 * sum(ties)
+    return tuple(3 * (total_alpha - s) + s + rest for s in solo)
 
 
 def deferred_ambiguity(
@@ -568,13 +580,16 @@ def deferred_ambiguity(
         if ctype.kind == "tie" and entry.count % 2 == 1
     )
     reduced = matrix.drop_columns(removed) if removed else matrix
-    transcript = GracefulRule("_inner", standard_pattern(4), required_agents=4).run(reduced)
-    eta = eta_vector(reduced)
-    short = [i for i in range(4) if transcript.utilities[i] < eta[i]]
+    step = _GracefulStepper(standard_pattern(4), 4)
+    inner_outcome, utilities = _utilities(reduced, [step.decide(c) for c in reduced.columns()])
+    # thresholds and utilities are compared in quarters, as integers
+    eta4 = _eta_quarters(reduced)
+    eta = tuple(Fraction(q, 4) for q in eta4)
+    short = [i for i in range(4) if 4 * utilities[i] < eta4[i]]
     if len(short) > 1:
         raise InternalInconsistencyError(
             f"agents {[i + 1 for i in short]} all below threshold: "
-            f"utilities {transcript.utilities}, thresholds {tuple(map(str, eta))}"
+            f"utilities {utilities}, thresholds {tuple(map(str, eta))}"
         )
     if short:
         i_star = short[0]
@@ -583,7 +598,7 @@ def deferred_ambiguity(
         # more decision once the removed columns come back (two removals
         # can lift their share by a full unit), so they take precedence
         # over the default.
-        at_threshold = [i for i in range(4) if transcript.utilities[i] == eta[i]]
+        at_threshold = [i for i in range(4) if 4 * utilities[i] == eta4[i]]
         i_star = at_threshold[0] if at_threshold else 0
         if (
             len(at_threshold) == 2
@@ -598,7 +613,7 @@ def deferred_ambiguity(
             # other agent sides with each of them exactly once.
             i_star = min(i for i in range(4) if i not in at_threshold)
     removed_set = set(removed)
-    inner = iter(transcript.outcome)
+    inner = iter(inner_outcome)
     outcome = tuple(
         matrix.rows[i_star][j] if j in removed_set else next(inner)
         for j in range(matrix.m)
@@ -632,8 +647,8 @@ class DeferredAmbiguity4(Rule):
 def nash_welfare(matrix: PreferenceMatrix, outcome: Sequence[int]) -> int:
     """Product of all agents' utilities under ``outcome``."""
     product = 1
-    for i in range(matrix.n):
-        product *= utility(matrix, outcome, i)
+    for u in _utilities(matrix, outcome)[1]:
+        product *= u
     return product
 
 

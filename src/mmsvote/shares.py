@@ -136,49 +136,51 @@ def uniform_bound(matrix: PreferenceMatrix, i: int) -> int:
     return math.floor(rds(matrix)[i])
 
 
-def _agreement_mask(bits: tuple[int, ...], i: int) -> int:
-    """Bitmask of the agents on agent i's side of a canonical column."""
-    ref = bits[i]
-    mask = 0
-    for a, b in enumerate(bits):
-        if b == ref:
-            mask |= 1 << a
-    return mask
+class _View:
+    """One agent's view of the census, as the solver and the witness need it.
 
-
-def _columns_by_mask(matrix: PreferenceMatrix, i: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Agent i's view of the census: the consensus columns, and the other
-    columns grouped by agreement mask, both in census order.
-
-    Types with equal masks share a group: they are indistinguishable to
-    every agreement term of the game.
+    ``consensus`` holds the consensus columns, which add their count to
+    every permutation's total no matter where they are placed. ``groups``
+    maps each agreement mask (the agents on this agent's side of a
+    column) to its columns; types with equal masks are indistinguishable
+    to every agreement term of the game. Columns are in census order.
+    ``items`` is what the solver searches: (count, mask) per group, by
+    descending count, then by mask.
     """
+
+    __slots__ = ("consensus", "groups", "items")
+
+    def __init__(self, consensus: tuple[int, ...], groups: dict[int, list[int]]):
+        self.consensus = consensus
+        self.groups = groups
+        self.items = tuple(sorted(((len(cols), mask) for mask, cols in groups.items()),
+                                  key=lambda cm: (-cm[0], cm[1])))
+
+
+def _views(matrix: PreferenceMatrix) -> tuple[_View, ...]:
+    """Every agent's view, from one walk over the census; cached on the
+    matrix like the census itself."""
+    views = matrix.__dict__.get("_views")
+    if views is not None:
+        return views
+    n = matrix.n
+    everyone = (1 << n) - 1
     consensus: list[int] = []
-    groups: dict[int, list[int]] = {}
+    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
     for ctype, entry in type_census(matrix).items():
         if ctype.kind == "consensus":
             consensus.extend(entry.occurrences)
-        else:
-            groups.setdefault(_agreement_mask(ctype.bits, i), []).extend(entry.occurrences)
-    return consensus, groups
-
-
-def _items(groups: dict[int, list[int]]) -> tuple[tuple[int, int], ...]:
-    """(count, mask) per group, by descending count, then by mask."""
-    items = ((len(cols), mask) for mask, cols in groups.items())
-    return tuple(sorted(items, key=lambda cm: (-cm[0], cm[1])))
-
-
-def _solver_items(matrix: PreferenceMatrix, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Collapse the census to what the solver needs for agent i.
-
-    Returns ``(consensus_count, items)`` with items a canonically sorted
-    tuple of (count, agreement mask) pairs, one per mask group.
-    Consensus columns are pulled out entirely, since they add their
-    count to every permutation's total no matter where they are placed.
-    """
-    consensus, groups = _columns_by_mask(matrix, i)
-    return len(consensus), _items(groups)
+            continue
+        ones = 0
+        for a, b in enumerate(ctype.bits):
+            ones |= b << a
+        sides = (everyone ^ ones, ones)
+        for agent_groups, b in zip(groups, ctype.bits):
+            agent_groups.setdefault(sides[b], []).extend(entry.occurrences)
+    shared = tuple(consensus)
+    views = tuple(_View(shared, g) for g in groups)
+    object.__setattr__(matrix, "_views", views)
+    return views
 
 
 def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
@@ -224,9 +226,9 @@ def _relabel(
 
 @lru_cache(maxsize=65536)
 def _search(n: int, items: tuple[tuple[int, int], ...], budget: int):
-    """``(best, composition)`` for agent items as ``_solver_items`` gives
-    them, cached on the raw items; a miss searches their relabelled class
-    and puts the composition rows back in the items' order."""
+    """``(best, composition)`` for an agent's ``_View.items``, cached on
+    the raw items; a miss searches their relabelled class and puts the
+    composition rows back in the items' order."""
     relabelled, source = _relabel(n, items)
     best, comp = _search_class(n, relabelled, budget)
     rows: list[tuple[int, ...]] = [()] * len(items)
@@ -254,13 +256,18 @@ def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
-    consensus, items = _solver_items(matrix, i)
-    best, _ = _search(matrix.n, items, effective_budget())
-    return consensus + best
+    view = _views(matrix)[i]
+    best, _ = _search(matrix.n, view.items, effective_budget())
+    return len(view.consensus) + best
 
 
 def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
-    return tuple(mms_adapt(matrix, i) for i in range(matrix.n))
+    """``mms_adapt`` of every agent, in agent order."""
+    n = matrix.n
+    budget = effective_budget()
+    return tuple(
+        len(view.consensus) + _search(n, view.items, budget)[0] for view in _views(matrix)
+    )
 
 
 def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
@@ -274,12 +281,11 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
-    consensus, groups = _columns_by_mask(matrix, i)
-    items = _items(groups)
-    _, comp = _search(n, items, effective_budget())
-    bundles: list[list[int]] = [consensus] + [[] for _ in range(n - 1)]
-    for (_, mask), alloc in zip(items, comp):
-        cols = groups[mask]
+    view = _views(matrix)[i]
+    _, comp = _search(n, view.items, effective_budget())
+    bundles: list[list[int]] = [list(view.consensus)] + [[] for _ in range(n - 1)]
+    for (_, mask), alloc in zip(view.items, comp):
+        cols = view.groups[mask]
         pos = 0
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .adversary import CertificateError, ViolationCertificate
-from .model import Partition, PreferenceMatrix, utility
+from .model import Partition, PreferenceMatrix, _utilities, utility
 from .rules import Rule, RuleTranscript, build_rule
 from .shares import mms_adapt_all, mms_egal, partition_guarantee
 
@@ -44,6 +44,16 @@ THRESHOLDS = (Fraction(1), Fraction(4, 5), Fraction(3, 4), Fraction(1, 2))
 
 def _ratio_text(value: Fraction | None) -> str:
     return "inf" if value is None else str(value)
+
+
+def _exact_threshold(threshold: Fraction | int) -> None:
+    # 0.8 is 3602879701896397/4503599627370496, so a float cannot state a
+    # ratio such as 4/5 and would decide pass/fail on its binary rounding
+    if isinstance(threshold, float):
+        raise ValueError(
+            f"threshold must be an int or a Fraction, not a float ({threshold!r}); "
+            "write Fraction(4, 5), not 0.8"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,10 @@ class AuditReport:
     egal_ratios: tuple[Fraction | None, ...]
     alpha_egal: Fraction | None
 
-    def satisfies(self, threshold: Fraction, *, share: str = "adapt") -> bool:
+    def satisfies(self, threshold: Fraction | int, *, share: str = "adapt") -> bool:
+        """Whether the chosen alpha reaches ``threshold`` (an int or a
+        Fraction; a float raises ValueError)."""
+        _exact_threshold(threshold)
         alpha = self.alpha_adapt if share == "adapt" else self.alpha_egal
         return alpha is None or alpha >= threshold
 
@@ -95,7 +108,7 @@ class AuditReport:
 
 def audit(matrix: PreferenceMatrix, outcome: Sequence[int]) -> AuditReport:
     """Measure how far an outcome falls short of the share guarantees."""
-    utilities = tuple(utility(matrix, outcome, i) for i in range(matrix.n))
+    _, utilities = _utilities(matrix, outcome)
     shares = mms_adapt_all(matrix)
     ratios = tuple(
         None if s == 0 else Fraction(u, s) for u, s in zip(utilities, shares)
@@ -236,6 +249,8 @@ def exhaustive_check(
     multisets, the rest as ordered sequences. Sampling mode draws
     ``sample`` random instances and requires an explicit seed. Returns
     the first violating instance, greedily minimized, or None.
+    ``threshold`` is an int, a Fraction or a string ``Fraction`` reads,
+    such as ``"3/4"``; a float raises ValueError.
     """
     if isinstance(rule, str):
         rule = build_rule(rule)
@@ -249,6 +264,7 @@ def exhaustive_check(
         raise ValueError(f"need at least 2 agents, got {n}")
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
+    _exact_threshold(threshold)
     threshold = Fraction(threshold)
     if threshold <= 0:
         # every outcome meets a non-positive share fraction, so no audit could fail

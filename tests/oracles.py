@@ -186,3 +186,60 @@ def reference_search_max_partition(counts, masks, n, cap, node_budget):
     if state["out"]:
         return state["best"], None, state["nodes"], False
     return state["best"], state["comp"], state["nodes"], True
+
+
+def reference_eta_vector(matrix):
+    """The deferral thresholds summed as ``Fraction``s, term by term:
+    three quarters of every sole-minority count opposing someone else, a
+    quarter of the agent's own, all consensus columns and half the ties."""
+    from fractions import Fraction
+
+    from mmsvote.model import n4_counts
+
+    solo, ties, consensus = n4_counts(matrix)
+    half_ties = Fraction(sum(ties), 2)
+    total_alpha = sum(solo)
+    return tuple(
+        Fraction(3, 4) * (total_alpha - solo[i]) + Fraction(1, 4) * solo[i] + consensus + half_ties
+        for i in range(4)
+    )
+
+
+def reference_deferred_ambiguity(matrix):
+    """The 4-agent deferral rule through a full inner rule run: the
+    standard graceful rule's transcript on the reduced instance, compared
+    against ``reference_eta_vector`` as ``Fraction``s. Returns the same
+    ``(outcome, removed, compensated agent, thresholds)`` tuple as
+    ``mmsvote.rules.deferred_ambiguity``."""
+    from mmsvote.model import type_census
+    from mmsvote.rules import GracefulRule, standard_pattern
+
+    removed = sorted(
+        entry.occurrences[-1]
+        for ctype, entry in type_census(matrix).items()
+        if ctype.kind == "tie" and entry.count % 2 == 1
+    )
+    reduced = matrix.drop_columns(removed) if removed else matrix
+    transcript = GracefulRule("_inner", standard_pattern(4), required_agents=4).run(reduced)
+    eta = reference_eta_vector(reduced)
+    short = [i for i in range(4) if transcript.utilities[i] < eta[i]]
+    assert len(short) <= 1
+    if short:
+        i_star = short[0]
+    else:
+        at_threshold = [i for i in range(4) if transcript.utilities[i] == eta[i]]
+        i_star = at_threshold[0] if at_threshold else 0
+        if (
+            len(at_threshold) == 2
+            and len(removed) == 2
+            and all(
+                matrix.rows[at_threshold[0]][j] != matrix.rows[at_threshold[1]][j]
+                for j in removed
+            )
+        ):
+            i_star = min(i for i in range(4) if i not in at_threshold)
+    inner = iter(transcript.outcome)
+    outcome = tuple(
+        matrix.rows[i_star][j] if j in removed else next(inner) for j in range(matrix.m)
+    )
+    return outcome, tuple(removed), i_star, eta

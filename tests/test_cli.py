@@ -314,3 +314,53 @@ def test_parser_level_errors(capsys):
     capsys.readouterr()
     assert main(["search", "--rule", "majority", "--agents", "3"]) == 2
     capsys.readouterr()
+
+
+# Seeded corpus of small instances; the digest pins every byte of stdout and
+# of the transcript files. Change it only together with an intended change
+# of the CLI's output.
+CORPUS_DIGEST = "6ba8a41b4b2f1a16d5f761008cf80694717e864d33e4387d90c77be24f823446"
+
+CORPUS_RULES = (
+    ("ptrr3", (3,), 10),
+    ("deferred4", (4,), 8),
+    ("muffled3", (3,), 10),
+    ("majority", (2, 3, 4, 5), 8),
+    ("mnw", (2, 3, 4, 5), 6),
+)
+
+
+def _corpus_chunks(tmp_path, capsys):
+    import random
+
+    rng = random.Random(20241018)
+    matrix_path = tmp_path / "matrix.txt"
+    transcript_path = tmp_path / "transcript.json"
+    for rule, agent_counts, m_max in CORPUS_RULES:
+        for case in range(40):
+            n = rng.choice(agent_counts)
+            m = rng.randint(1, m_max)
+            rows = ["".join(rng.choice("01") for _ in range(m)) for _ in range(n)]
+            matrix_path.write_text(f"{n} {m}\n" + "\n".join(rows) + "\n")
+            outcome = "".join(rng.choice("01") for _ in range(m))
+            as_json = ("--json",) if case % 2 else ()
+            calls = [
+                ("run", "--rule", rule, "--input", str(matrix_path),
+                 "--transcript", str(transcript_path), *as_json),
+                ("verify", "--input", str(matrix_path), "--outcome", outcome, *as_json),
+                ("shares", "--input", str(matrix_path), "--json"),
+            ]
+            for argv in calls:
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0, (argv, err)
+                yield f"{rule} {case} {argv[0]} {code}\n".encode() + out.encode()
+            yield transcript_path.read_bytes()
+
+
+def test_cli_output_corpus_digest(tmp_path, capsys):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for chunk in _corpus_chunks(tmp_path, capsys):
+        digest.update(chunk)
+    assert digest.hexdigest() == CORPUS_DIGEST

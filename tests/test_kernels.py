@@ -234,9 +234,9 @@ def items_search(n, items):
 def agent_search(matrix, i):
     """Agent i's share search on its raw solver items, before the solver
     relabels the agents: (share, nodes, items)."""
-    consensus, items = shares._solver_items(matrix, i)
-    best, nodes = items_search(matrix.n, items)
-    return consensus + best, nodes, items
+    view = shares._views(matrix)[i]
+    best, nodes = items_search(matrix.n, view.items)
+    return len(view.consensus) + best, nodes, view.items
 
 
 def relabelled_searches(matrices):
@@ -246,7 +246,7 @@ def relabelled_searches(matrices):
     searched = {}
     for matrix in matrices:
         for i in range(matrix.n):
-            items = shares._solver_items(matrix, i)[1]
+            items = shares._views(matrix)[i].items
             key = (matrix.n, shares._relabel(matrix.n, items)[0])
             if key not in searched:
                 best, searched[key] = items_search(*key)
@@ -345,6 +345,6 @@ def test_small_instances_relabelled_searches():
     classes = set()
     for matrix in matrices:
         for i in range(matrix.n):
-            items = shares._solver_items(matrix, i)[1]
+            items = shares._views(matrix)[i].items
             classes.add((matrix.n, brute_force_class(matrix.n, items)))
     assert len(classes) == len(searched)

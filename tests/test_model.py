@@ -296,3 +296,28 @@ def test_parse_outcome():
         parse_outcome("010", 4)
     with pytest.raises(ParseError):
         parse_outcome("01x1", 4)
+
+
+def test_trusted_builders_equal_checked_constructor():
+    # parse_matrix, prefix and drop_columns skip the constructor's checks;
+    # their matrices must still be indistinguishable from checked ones
+    rng = random.Random(5150)
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.randint(0, 9)
+        rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n)]
+        checked = PreferenceMatrix.from_rows(rows)
+        text = f"{n} {m}\n" + "\n".join("".join(map(str, r)) for r in rows) + "\n"
+        for parsed in (parse_matrix(text), parse_matrix(checked.to_json())):
+            assert parsed == checked and hash(parsed) == hash(checked)
+            assert all(type(b) is int for row in parsed.rows for b in row)
+            again = pickle.loads(pickle.dumps(parsed))
+            assert again == checked and hash(again) == hash(checked)
+            assert type_census(again) == type_census(checked)
+            for ctype in type_census(parsed):
+                assert ctype.kind == CanonicalType(ctype.bits).kind
+        k = rng.randint(0, m)
+        assert checked.prefix(k) == PreferenceMatrix.from_rows([r[:k] for r in rows])
+        drop = set(rng.sample(range(m), rng.randint(0, m)))
+        kept = [[b for j, b in enumerate(r) if j not in drop] for r in rows]
+        assert checked.drop_columns(drop) == PreferenceMatrix.from_rows(kept)
+        assert hash(checked.drop_columns(drop)) == hash(PreferenceMatrix.from_rows(kept))

@@ -27,7 +27,13 @@ from mmsvote.rules import (
     standard_pattern,
 )
 from mmsvote.shares import SearchBudgetExceeded, mms_adapt_all
-from oracles import naive_mnw, random_matrix, standard_pattern_utility
+from oracles import (
+    naive_mnw,
+    random_matrix,
+    reference_deferred_ambiguity,
+    reference_eta_vector,
+    standard_pattern_utility,
+)
 
 EXAMPLE_3x9 = PreferenceMatrix.from_rows(
     [
@@ -477,3 +483,39 @@ def test_deferred_inconsistency_is_importable():
     from mmsvote.rules import InternalInconsistencyError
 
     assert issubclass(InternalInconsistencyError, RuntimeError)
+
+
+def test_deferred_ambiguity_matches_fraction_reference():
+    # the integer-quarter thresholds and the stepper-driven inner run against
+    # the Fraction thresholds and a full inner transcript
+    rng = random.Random(4108)
+    for _ in range(500):
+        M = random_matrix(rng, 4, rng.randint(1, 8))
+        assert eta_vector(M) == reference_eta_vector(M)
+        outcome, removed, i_star, eta = deferred_ambiguity(M)
+        assert (outcome, removed, i_star, eta) == reference_deferred_ambiguity(M)
+        assert all(isinstance(t, Fraction) for t in eta)
+
+
+OUTCOME_MATRIX = {
+    2: PreferenceMatrix.from_rows([(1, 0), (0, 0), (1, 1)]),
+    3: PreferenceMatrix.from_rows([(1, 0, 1), (0, 0, 1), (1, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("m, outcome", [(3, (0, 2, 1)), (2, (0, 1.0)), (2, (1,)), (3, (1, 0))])
+def test_outcome_consumers_reject_bad_outcomes(m, outcome):
+    M = OUTCOME_MATRIX[m]
+    with pytest.raises(ValueError):
+        RuleTranscript.from_outcome("x", M, outcome)
+    with pytest.raises(ValueError):
+        nash_welfare(M, outcome)
+
+
+def test_outcome_consumers_read_bools_as_bits():
+    M = OUTCOME_MATRIX[2]
+    t = RuleTranscript.from_outcome("x", M, (True, 0))
+    assert t.to_json() == RuleTranscript.from_outcome("x", M, (1, 0)).to_json()
+    assert t.outcome == (1, 0) and t.to_dict()["outcome"] == "10"
+    assert t.utilities == tuple(utility(M, (1, 0), i) for i in range(3)) == (2, 1, 1)
+    assert nash_welfare(M, (True, 0)) == nash_welfare(M, (1, 0)) == 2

@@ -263,3 +263,41 @@ def test_share_report_json():
 
     report = share_report(EXAMPLE_4x2)
     assert "n3_bounds" not in report.to_dict()
+
+
+def test_mms_adapt_all_matches_per_agent_calls():
+    # every agent's view comes from one census walk; each per-agent call
+    # here builds its views on a fresh matrix
+    rng = random.Random(7321)
+    shapes = [(3, 10)] * 150 + [(4, 8)] * 150 + [(5, 6)] * 40 + [(6, 5)] * 30 + [(7, 4)] * 30
+    for n, m_max in shapes:
+        m = rng.randint(1, m_max)
+        rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n)]
+        expected = tuple(mms_adapt(PreferenceMatrix.from_rows(rows), i) for i in range(n))
+        assert mms_adapt_all(PreferenceMatrix.from_rows(rows)) == expected
+
+
+@st.composite
+def concatenable_pair(draw):
+    n = draw(st.integers(2, 5))
+    widths = st.integers(0, 5 if n < 5 else 3)
+    def matrix(m):
+        row = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+        return PreferenceMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
+    return matrix(draw(widths)), matrix(draw(widths))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(pair=concatenable_pair(), bit=st.integers(0, 1))
+def test_mms_metamorphic_consensus_and_concatenation(pair, bit):
+    A, B = pair
+    n = A.n
+    values = mms_adapt_all(A)
+    # a consensus column adds its one decision to every share
+    plus = A.append_column((bit,) * n)
+    assert mms_adapt_all(plus) == tuple(v + 1 for v in values)
+    # the bundle-wise union of two witnesses is a partition of A||B whose
+    # guarantee is at least the sum, so the share is superadditive
+    joined = PreferenceMatrix.from_rows([a + b for a, b in zip(A.rows, B.rows)])
+    for whole, part_a, part_b in zip(mms_adapt_all(joined), values, mms_adapt_all(B)):
+        assert whole >= part_a + part_b

@@ -264,3 +264,46 @@ def test_t_sweep_rejections():
         mnw_t_sweep(9, k=5)
     with pytest.raises(ValueError):
         mnw_t_sweep(9, k=0)
+
+
+# alpha_adapt is exactly 4/5 here; 0.8 as a float is 3602879701896397/2**52
+ALPHA_FOUR_FIFTHS = PreferenceMatrix.from_rows(
+    [
+        (0, 0, 1, 0, 1, 1, 1, 1, 1, 1),
+        (0, 0, 0, 1, 1, 1, 0, 0, 1, 0),
+        (1, 1, 1, 0, 0, 0, 0, 0, 0, 0),
+    ]
+)
+
+
+def test_float_thresholds_are_rejected():
+    report = audit(ALPHA_FOUR_FIFTHS, (1, 0, 1, 1, 0, 0, 1, 1, 1, 0))
+    assert report.alpha_adapt == Fraction(4, 5)
+    assert report.satisfies(Fraction(4, 5)) and not report.satisfies(1)
+    with pytest.raises(ValueError, match="float"):
+        report.satisfies(0.8)
+    with pytest.raises(ValueError, match="float"):
+        report.satisfies(0.5, share="egal")
+    with pytest.raises(ValueError, match="float"):
+        exhaustive_check("always-0", 3, 5, threshold=0.8)
+    found = exhaustive_check("always-0", 3, 5, threshold=Fraction(4, 5))
+    assert found is not None and found.threshold == Fraction(4, 5)
+    assert exhaustive_check("always-0", 3, 5, threshold="4/5").threshold == Fraction(4, 5)
+
+
+@pytest.mark.parametrize(
+    "rows, outcome",
+    [
+        ([(1, 0, 1), (0, 0, 1), (1, 1, 0)], (0, 2, 1)),
+        ([(1, 0), (0, 0), (1, 1)], (0, 1.0)),
+        ([(1, 0), (0, 0), (1, 1)], (1,)),
+    ],
+)
+def test_audit_rejects_bad_outcomes(rows, outcome):
+    with pytest.raises(ValueError):
+        audit(PreferenceMatrix.from_rows(rows), outcome)
+
+
+def test_audit_reads_bools_as_bits():
+    M = PreferenceMatrix.from_rows([(1, 0), (0, 0), (1, 1)])
+    assert audit(M, (True, 0)) == audit(M, (1, 0))
