@@ -16,7 +16,12 @@ The two entry points:
   assignment state from node to node (the dynamic Hungarian method of
   Mills-Tettey, Stentz & Dias 2007): a node only raises the entries of a
   few bundles, so it re-augments just the bundles whose matched entry
-  rose, instead of solving from scratch.
+  rose, instead of solving from scratch. Before that, a primal pre-test
+  tries to prune the node for free: any permutation's sum bounds the
+  permutation minimum from above, and the parent's matching and its
+  single swaps are sums read off the parent's state in O(n) integer
+  steps per raised bundle. When one of them already falls to the
+  pruning bar, the node is dropped without touching the state.
 
 Both run on one shortest-augmenting-path step, ``_augment``.
 """
@@ -195,6 +200,17 @@ def search_max_partition(
     value is its parent's plus the rises the re-augmentations return, and
     a leaf reuses its node's value.
 
+    A node is pruned when its value plus the undecided decisions' count
+    cannot exceed ``best``. Before the row is applied, a primal pre-test
+    checks that bar on an upper bound of the value: the least sum, on the
+    new bundle sums, of the parent's matching and of each permutation
+    that swaps the bundles of an agent whose matched entry rises with
+    those of one other agent. It takes O(n) integer steps per such agent
+    and changes no state, so most pruned nodes cost no row update, no
+    saved state and no ``_augment``. The bound is never below the value,
+    so it prunes only nodes the exact test would prune: nodes, ``best``
+    and the winning composition are the same with or without it.
+
     ``cap`` is a certified upper bound on the value; reaching it stops the
     search. ``node_budget`` bounds the number of per-type compositions
     applied. Returns ``(best, composition, nodes, completed)`` where
@@ -211,6 +227,7 @@ def search_max_partition(
     v = [0] * (n + 1)
     match = list(range(n)) + [-1]
     agreeing = [[a for a in range(n) if (masks[t] >> a) & 1] for t in range(T)]
+    outside = [[a for a in range(n) if not (masks[t] >> a) & 1] for t in range(T)]
     suffix = [0] * (T + 1)
     for t in range(T - 1, -1, -1):
         suffix[t] = suffix[t + 1] + counts[t]
@@ -234,11 +251,42 @@ def search_max_partition(
             return best >= cap
         row = comp[t]
         agents = agreeing[t]
+        others = outside[t]
+        rest = suffix[t + 1]
         for _ in _compositions(row, counts[t], classes):
             nodes += 1
             if nodes > node_budget:
                 out_of_budget = True
                 return True
+            # The primal pre-test, on B before the row. On the new sums the
+            # old matching's sum is value plus the row's count under each
+            # loose agent. Swapping the bundles b of a loose agent a and b2
+            # of an agent a2 outside type t's side changes it by
+            # B[b][a2] - B[b2][a2] + B[b2][a] - B[b][a] + row[b2] - row[b];
+            # a swap with an agent on t's side changes it as on the old
+            # sums, by at least 0 since the old matching is minimal. Any
+            # such sum bounds the node's value, so one at or below
+            # best - rest prunes the node the bound below would prune,
+            # before the row is applied or any bundle re-augmented.
+            loose = [a for a in agents if row[match[a]]]
+            gap = value + rest - best
+            for a in loose:
+                gap += row[match[a]]
+            if gap > 0:
+                for a in loose:
+                    b = match[a]
+                    Bb = B[b]
+                    lift = Bb[a] + row[b] - gap
+                    for a2 in others:
+                        b2 = match[a2]
+                        B2 = B[b2]
+                        if Bb[a2] - B2[a2] + B2[a] + row[b2] <= lift:
+                            gap = 0
+                            break
+                    if not gap:
+                        break
+            if gap <= 0:
+                continue
             for b in range(n):
                 c = row[b]
                 if c:
@@ -248,7 +296,6 @@ def search_max_partition(
             # entries only rose, so the potentials stay feasible and a
             # matched pair stays tight unless its own entry rose: unmatch
             # those bundles and re-augment each one
-            loose = [a for a in agents if row[match[a]]]
             node_value = value
             if loose:
                 saved = u[:], v[:], match[:]
@@ -258,7 +305,7 @@ def search_max_partition(
                 for b in bundles:
                     node_value += _augment(B, u, v, match, b)
             # each undecided column can add at most 1 to every permutation sum
-            if node_value + suffix[t + 1] > best:
+            if node_value + rest > best:
                 # counts never rise inside a class, so refining by
                 # (class, count) keeps every class a contiguous run
                 refined: dict[tuple[int, int], int] = {}

@@ -22,13 +22,12 @@ sound by construction, independent of any bookkeeping along the way.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .model import Partition, PreferenceMatrix, parse_matrix, type_census, utility
 from .rules import Rule, RuleTranscript, build_rule
-from .shares import partition_guarantee, rds
+from .shares import _rds_totals, partition_guarantee
 
 __all__ = [
     "gen_stage1",
@@ -452,10 +451,10 @@ class _AttackDriver:
         # a partition's permutation minimum is an int no larger than its
         # average over all permutations, RDS_i, so an agent whose utility
         # reaches floor(RDS_i) cannot be violated and its checks are skipped
-        dictator_shares = rds(matrix)
+        totals = _rds_totals(matrix)
         for i in range(self.n):
             achieved = utility(matrix, self.bits, i)
-            if achieved >= math.floor(dictator_shares[i]):
+            if achieved >= totals[i] // self.n:
                 continue
             for partition in witnesses:
                 guarantee = partition_guarantee(matrix, i, partition)

@@ -205,7 +205,10 @@ class CanonicalType:
     bitwise negations of each other. The ``kind`` of a type is read off
     the popcount when the type is made: "consensus" (all zeros), "split"
     (a strict majority exists), or "tie" (both sides equal, only possible
-    for even n). It takes no part in equality or hashing.
+    for even n). It takes no part in equality or hashing. The hash is the
+    dataclass's ``hash((bits,))``, computed once when the type is made,
+    since census builds and rule runs look types up in dicts many times;
+    it stays out of pickles.
     """
 
     bits: tuple[int, ...]
@@ -219,6 +222,17 @@ class CanonicalType:
             raise ValueError("canonical orientation requires the first bit to be 0")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "kind", _kind(bits))
+        object.__setattr__(self, "_hash", hash((bits,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"bits": self.bits, "kind": self.kind}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_hash", hash((self.bits,)))
 
     @property
     def n(self) -> int:
@@ -278,6 +292,7 @@ def _canonical(bits: tuple[int, ...]) -> tuple[CanonicalType, bool]:
     ctype = object.__new__(CanonicalType)
     object.__setattr__(ctype, "bits", bits)
     object.__setattr__(ctype, "kind", _kind(bits))
+    object.__setattr__(ctype, "_hash", hash((bits,)))
     return ctype, flipped
 
 

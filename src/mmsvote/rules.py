@@ -446,8 +446,34 @@ class _GracefulStepper(Stepper):
         return _resolve_token(tokens[k % len(tokens)], ctype, flipped)
 
 
+def _graceful_outcome(
+    pattern: Callable[[CanonicalType], Sequence[str]], matrix: PreferenceMatrix
+) -> list[int]:
+    """The outcome a ``_GracefulStepper`` gives on the matrix's columns,
+    read off its type census: the k-th occurrence of a type takes token
+    k mod the sequence's length, flipped with the column. Types are met
+    in order of first occurrence, as the stepper meets them, so a bad
+    token table fails on the same type."""
+    n = matrix.n
+    outcome = [0] * matrix.m
+    for ctype, entry in type_census(matrix).items():
+        if ctype.kind == "consensus":
+            for j, flipped in zip(entry.occurrences, entry.flipped):
+                outcome[j] = int(flipped)
+            continue
+        tokens = _check_tokens(ctype, pattern(ctype), n)
+        cycle = [_resolve_token(token, ctype, False) for token in tokens]
+        period = len(cycle)
+        for k, (j, flipped) in enumerate(zip(entry.occurrences, entry.flipped)):
+            outcome[j] = cycle[k % period] ^ flipped
+    return outcome
+
+
 class GracefulRule(Rule):
-    """Counter-based online rule driven by per-type token sequences."""
+    """Counter-based online rule driven by per-type token sequences.
+
+    ``run`` resolves every column from the matrix's type census; the
+    stepper serves callers that feed columns one at a time."""
 
     order_insensitive = True
 
@@ -468,6 +494,11 @@ class GracefulRule(Rule):
 
     def stepper(self, n: int, m: int | None = None) -> Stepper:
         return _GracefulStepper(self.pattern, n)
+
+    def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
+        self.check_matrix(matrix)
+        outcome = _graceful_outcome(self.pattern, matrix)
+        return RuleTranscript.from_outcome(self.name, matrix, outcome)
 
 
 def _ptrr3() -> GracefulRule:
@@ -580,8 +611,7 @@ def deferred_ambiguity(
         if ctype.kind == "tie" and entry.count % 2 == 1
     )
     reduced = matrix.drop_columns(removed) if removed else matrix
-    step = _GracefulStepper(standard_pattern(4), 4)
-    inner_outcome, utilities = _utilities(reduced, [step.decide(c) for c in reduced.columns()])
+    inner_outcome, utilities = _utilities(reduced, _graceful_outcome(standard_pattern(4), reduced))
     # thresholds and utilities are compared in quarters, as integers
     eta4 = _eta_quarters(reduced)
     eta = tuple(Fraction(q, 4) for q in eta4)

@@ -105,6 +105,19 @@ def effective_budget() -> int:
     return DEFAULT_SEARCH_BUDGET
 
 
+def _rds_totals(matrix: PreferenceMatrix) -> list[int]:
+    """n times every agent's random dictator share: the number of
+    (decision, agent) pairs agreeing with agent i, from one integer pass.
+    ``totals[i] // n`` is floor(RDS_i)."""
+    n = matrix.n
+    totals = [0] * n
+    for col in matrix.columns():
+        ones = sum(col)
+        for i, b in enumerate(col):
+            totals[i] += ones if b == 1 else n - ones
+    return totals
+
+
 def rds(matrix: PreferenceMatrix) -> tuple[Fraction, ...]:
     """Random dictator share of every agent, as exact rationals.
 
@@ -112,12 +125,7 @@ def rds(matrix: PreferenceMatrix) -> tuple[Fraction, ...]:
     candidates) agreeing with agent i there.
     """
     n = matrix.n
-    totals = [0] * n
-    for col in matrix.columns():
-        ones = sum(col)
-        for i, b in enumerate(col):
-            totals[i] += ones if b == 1 else n - ones
-    return tuple(Fraction(t, n) for t in totals)
+    return tuple(Fraction(t, n) for t in _rds_totals(matrix))
 
 
 def mms_egal(m: int) -> int:
@@ -133,7 +141,7 @@ def uniform_bound(matrix: PreferenceMatrix, i: int) -> int:
     worst one)."""
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
-    return math.floor(rds(matrix)[i])
+    return _rds_totals(matrix)[i] // matrix.n
 
 
 class _View:
@@ -393,13 +401,14 @@ class ShareReport:
 
 def share_report(matrix: PreferenceMatrix) -> ShareReport:
     """Compute every share notion for the instance at once."""
-    dictator_shares = rds(matrix)
+    n = matrix.n
+    totals = _rds_totals(matrix)
     return ShareReport(
-        n=matrix.n,
+        n=n,
         m=matrix.m,
         mms_adapt=mms_adapt_all(matrix),
         mms_egal=mms_egal(matrix.m),
-        rds=dictator_shares,
-        uniform_bound=tuple(math.floor(r) for r in dictator_shares),
-        n3=n3_bounds(matrix) if matrix.n == 3 else None,
+        rds=tuple(Fraction(t, n) for t in totals),
+        uniform_bound=tuple(t // n for t in totals),
+        n3=n3_bounds(matrix) if n == 3 else None,
     )

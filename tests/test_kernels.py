@@ -6,7 +6,8 @@ from-scratch reference (same values, winning composition, node
 accounting and budget behavior); and the node counts of the ``shares``
 benchmark workload and of a batch of small 3- and 4-agent instances,
 pinned, both on the raw solver items and over the relabelling classes
-the solver actually searches.
+the solver actually searches, with the augmenting steps of the former
+and the nodes of one deep 7-agent search.
 """
 
 import itertools
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsvote import _kernels_py, kernels, shares
-from mmsvote.model import parse_matrix
+from mmsvote.adversary import gen_stage1
+from mmsvote.model import PreferenceMatrix, parse_matrix
 from oracles import naive_min_assignment, reference_search_max_partition
 
 
@@ -272,6 +274,32 @@ def test_shares_workload_relabelled_searches():
     assert len(searched) == 22 and sum(searched.values()) == 33_935
 
 
+def test_shares_workload_augmentations(monkeypatch):
+    # the primal pre-test prunes most nodes before any augmenting step:
+    # 7,616 calls for the 22 searches, against 23,324 without it
+    keys = list(relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD))
+    calls = 0
+    augment = _kernels_py._augment
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return augment(*args)
+
+    monkeypatch.setattr(_kernels_py, "_augment", counted)
+    assert sum(items_search(*key)[1] for key in keys) == 33_935
+    assert calls == 7_616
+
+
+def test_stage1_tripled_search_pinned():
+    # gen_stage1(7) * 3, a 7x21 instance, agent index 1: a deep search
+    # (cap 14) that the workloads do not reach
+    matrix = PreferenceMatrix.from_columns(gen_stage1(7) * 3)
+    items = shares._views(matrix)[1].items
+    assert shares._items_cap(7, items) == 14
+    assert items_search(7, items) == (12, 228_566)
+
+
 @st.composite
 def search_case(draw, n, count_max=4):
     T = draw(st.integers(1, 4))
@@ -302,6 +330,25 @@ def test_search_long_runs_match_reference(n, data):
     counts, masks, cap, budget = data.draw(search_case(n, count_max=12))
     expected = reference_search_max_partition(counts, masks, n, cap, budget)
     assert _kernels_py.search_max_partition(counts, masks, n, cap, budget) == expected
+
+
+@st.composite
+def shares_shape_case(draw):
+    # the shares workload's shapes: 6-9 agents and 6-10 types of 1-3
+    # decisions, so a node raises several matched entries at once
+    n = draw(st.integers(6, 9))
+    T = draw(st.integers(6, 10))
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=T, max_size=T)))
+    masks = tuple(draw(st.lists(st.integers(1, 2**n - 1), min_size=T, max_size=T)))
+    cap = sum(c * bin(m).count("1") for c, m in zip(counts, masks)) // n
+    budget = draw(st.integers(100, 300))
+    return counts, masks, n, cap, budget
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=shares_shape_case())
+def test_search_shares_shapes_match_reference(case):
+    assert _kernels_py.search_max_partition(*case) == reference_search_max_partition(*case)
 
 
 def small_instances(seed=4321, count=300):

@@ -165,6 +165,22 @@ def test_canonicalize_negation_invariance():
         assert t3 == t1 and not flip3
 
 
+def test_canonical_type_hash_and_pickle():
+    # the hash is made once with the type, equals the dataclass hash of the
+    # bits, and stays out of the pickled state
+    rng = random.Random(8)
+    for _ in range(100):
+        t, _ = canonicalize(tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 8))))
+        checked = CanonicalType(t.bits)
+        assert hash(t) == hash(checked) == hash((t.bits,))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            blob = pickle.dumps(t, protocol)
+            assert blob == pickle.dumps(checked, protocol)
+            again = pickle.loads(blob)
+            assert again == t and hash(again) == hash(t) and again.kind == t.kind
+    assert CanonicalType((0, 1, 1)).__reduce_ex__(2)[2] == {"bits": (0, 1, 1), "kind": "split"}
+
+
 def test_canonical_type_rejects_bad_orientation():
     with pytest.raises(ValueError):
         CanonicalType((1, 0))

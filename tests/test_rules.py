@@ -205,6 +205,31 @@ def test_graceful_map_rejections():
         rule.run(PreferenceMatrix.from_columns([(0, 1, 1, 1)]))
 
 
+def stepper_outcome(rule, matrix):
+    step = rule.stepper(matrix.n)
+    return tuple(step.decide(column) for column in matrix.columns())
+
+
+def test_graceful_run_matches_stepper():
+    # run reads the type census; the stepper canonicalizes column by column
+    rng = random.Random(2718)
+    gmap = GracefulMap.parse("011 MIN,MAJ,MAJ\n001 MAJ,MIN,MIN\n010 MIN,MIN,MAJ\n")
+    rules = [build_rule("ptrr3"), GracefulRule.from_map(gmap), build_rule("ptrr-generalized")]
+    for _ in range(300):
+        rule = rng.choice(rules)
+        n = rule.required_agents or rng.randint(2, 6)
+        M = random_matrix(rng, n, rng.randint(0, 14))
+        assert rule.run(M).outcome == stepper_outcome(rule, M)
+
+
+def test_graceful_run_fails_on_first_unlisted_type():
+    rule = GracefulRule.from_map(GracefulMap.parse("011 MAJ,MAJ,MIN\n"))
+    M = PreferenceMatrix.from_columns([(0, 1, 1), (1, 1, 1), (1, 0, 1), (0, 0, 1), (0, 1, 0)])
+    for decide in (rule.run, lambda matrix: stepper_outcome(rule, matrix)):
+        with pytest.raises(GracefulMapError, match="no entry for type 010$"):
+            decide(M)
+
+
 def test_muffled_small_example():
     M = PreferenceMatrix.from_columns([(0, 1, 1)] * 4)
     t = run_rule("muffled3", M)
@@ -486,8 +511,8 @@ def test_deferred_inconsistency_is_importable():
 
 
 def test_deferred_ambiguity_matches_fraction_reference():
-    # the integer-quarter thresholds and the stepper-driven inner run against
-    # the Fraction thresholds and a full inner transcript
+    # the integer-quarter thresholds and the census-driven inner outcome
+    # against the Fraction thresholds and a full inner transcript
     rng = random.Random(4108)
     for _ in range(500):
         M = random_matrix(rng, 4, rng.randint(1, 8))

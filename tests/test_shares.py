@@ -90,6 +90,16 @@ def test_uniform_bound_examples():
             uniform_bound(EXAMPLE_3x9, i)
 
 
+def test_uniform_bound_is_floor_of_rds():
+    # the bounds come from integer totals; rds() keeps the exact rationals
+    rng = random.Random(99)
+    for _ in range(100):
+        M = random_matrix(rng, rng.randint(1, 6), rng.randint(0, 10))
+        floors = [r.numerator // r.denominator for r in rds(M)]
+        assert [uniform_bound(M, i) for i in range(M.n)] == floors
+        assert list(share_report(M).uniform_bound) == floors
+
+
 def test_mms_matches_naive_oracle_exhaustive_n3():
     for cols in canonical_census_multisets(3, 4):
         M = PreferenceMatrix.from_columns(cols, n_agents=3)
