@@ -11,8 +11,10 @@ The two entry points:
 * ``search_max_partition``: the agent's side, an exhaustive maximum over
   placements of interchangeable decision types into labeled bundles.
   Each type's splits over the bundles come from ``_compositions``, which
-  advances one row in place to its successor in descending lexicographic
-  order, so a node costs no call per bundle. The search carries one
+  advances one row in place to its successor in ascending lexicographic
+  order, most even split first, so a node costs no call per bundle. Even
+  splits are good placements, and good incumbents found early prune more
+  of the search. The search carries one
   assignment state from node to node (the dynamic Hungarian method of
   Mills-Tettey, Stentz & Dias 2007): a node only raises the entries of a
   few bundles, so it re-augments just the bundles whose matched entry
@@ -116,59 +118,79 @@ def min_assignment(bundle_sums: list[list[int]]) -> int:
 
 def _compositions(row: list[int], total: int, classes: tuple[int, ...]) -> Iterator[None]:
     """Write each composition of ``total`` into ``row`` in place, yielding
-    after each one, in descending lexicographic order.
+    after each one, in ascending lexicographic order: the most even split
+    first, the whole type in bundle 0 last. Even splits tend to be good
+    placements, so the search finds a strong incumbent early, and a
+    strong incumbent prunes more of what follows.
 
     Slot b continues a run when ``classes[b] == classes[b - 1]``; counts
-    may not rise along a run. The first composition is greedy, and so is
-    every refill: a slot takes all that is left, capped by the previous
-    slot's count when it continues that slot's run. The successor
-    decrements the rightmost slot j < n-1 whose later slots can absorb one
-    more unit, then refills them greedily. Later slots can always absorb
-    it when one of them opens a run; when all of them continue j's run
-    they hold at most ``(row[j] - 1) * (n - 1 - j)``.
+    may not rise along a run. The smallest completion of a prefix puts
+    zeros up to the final run and spreads the rest over the final run as
+    evenly as nonincreasing counts allow; the first composition is that
+    completion of the empty prefix. The successor finds the rightmost slot
+    j that opens a run, or holds less than the previous slot of its run,
+    and has a unit to its right; it moves one unit into j and refills the
+    slots right of j with the smallest completion (inside the final run
+    the spread covers only the slots after j, and fits under the new
+    ``row[j]``). A single unit only ever sits on the first slot of a run,
+    so ``total == 1`` moves it over those slots, last run first.
     """
     n = len(row)
-    row[0] = total
-    for b in range(1, n):
+    for b in range(n):
         row[b] = 0
-    same = [False] + [classes[b] == classes[b - 1] for b in range(1, n)]
     last = n - 1  # the first slot of the final run
-    while same[last]:
+    while last and classes[last] == classes[last - 1]:
         last -= 1
-    top = 0 if total else -1  # the last nonzero slot
+    if total <= 1:
+        if not total:
+            yield
+            return
+        b = last
+        for s in range(last, -1, -1):
+            if not s or classes[s] != classes[s - 1]:
+                row[b] = 0
+                row[s] = 1
+                b = s
+                yield
+        return
+    q, r = divmod(total, n - last)
+    for b in range(last, n):
+        row[b] = q + 1 if b - last < r else q
+    top = n - 1 if q else last + r - 1  # the last nonzero slot
     while True:
         yield
-        # scan leftwards from the last nonzero slot below n-1; rest is the
-        # sum of the slots right of j
-        if top == n - 1:
-            rest = row[top]
-            j = n - 2
-        else:
-            rest = 0
-            j = top
-        while j >= 0:
+        # scan leftwards from the last nonzero slot; rest is the sum of the
+        # slots right of j, and slot 0 always opens a run
+        rest = row[top]
+        j = top - 1
+        while j > 0:
             c = row[j]
-            if c and (j < last or rest < (c - 1) * (n - 1 - j)):
+            if c < row[j - 1] or classes[j] != classes[j - 1]:
                 break
             rest += c
             j -= 1
         else:
-            return
-        c -= 1
-        row[j] = c
-        rest += 1
-        k = j
-        while rest:
-            k += 1
-            if same[k] and c < rest:
-                rest -= c
-            else:
-                c = rest
-                rest = 0
-            row[k] = c
-        for b in range(k + 1, top + 1):
-            row[b] = 0
-        top = k
+            if j:
+                return
+            c = row[0]
+        row[j] = c + 1
+        if rest == 1:  # the unit came from the last nonzero slot
+            row[top] = 0
+            top = j
+            continue
+        rest -= 1
+        s = j + 1  # the first slot of the spread
+        if s < last:
+            for b in range(s, min(last, top + 1)):
+                row[b] = 0
+            s = last
+        q, r = divmod(rest, n - s)
+        e = s + r
+        for b in range(s, e):
+            row[b] = q + 1
+        for b in range(e, n if q else top + 1):
+            row[b] = q
+        top = n - 1 if q else e - 1
 
 
 def search_max_partition(
@@ -189,8 +211,10 @@ def search_max_partition(
     are interchangeable, so counts are forced nonincreasing inside each
     interchangeability class. A class is a contiguous run of bundles, and
     type t's splits are visited by ``_compositions``, which steps one
-    row in place from each split to the next in descending lexicographic
-    order instead of filling it slot by slot.
+    row in place from each split to the next in ascending lexicographic
+    order, most even split first, instead of filling it slot by slot.
+    Even splits are good placements, and good incumbents found early
+    prune more.
 
     Each node's permutation minimum comes from an assignment state (bundle
     and agent potentials, matching) kept for the current bundle sums: it

@@ -284,7 +284,10 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     The witness is the first optimum in the solver's canonical
     (symmetry-pruned) enumeration order of the relabelled items, mapped
     back to agent i's own items; consensus columns all sit in the first
-    bundle. ``partition_guarantee`` of the result equals the share.
+    bundle. That order visits each type's splits most even first, so the
+    witness may differ from the one earlier versions returned; any
+    optimum is a valid witness. ``partition_guarantee`` of the result
+    equals the share.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")

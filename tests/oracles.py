@@ -127,7 +127,8 @@ def reference_search_max_partition(counts, masks, n, cap, node_budget):
     permutation minimum is solved from scratch at every node and once more
     at every leaf. ``min_assignment`` is tied to brute force on its own.
     It keeps the recursive slot-by-slot enumerator ``fill``, which tries
-    each slot's counts from high to low; that ties the kernel's in-place
+    each slot's counts from low to high, so it visits each type's splits
+    in ascending lexicographic order; that ties the kernel's in-place
     successor step to an independently written order."""
     from mmsvote._kernels_py import min_assignment
 
@@ -173,7 +174,7 @@ def reference_search_max_partition(counts, masks, n, cap, node_budget):
             hi = remaining
             if j > 0 and classes[j] == classes[j - 1]:
                 hi = min(hi, comp[t][j - 1])
-            for c in range(hi, -1, -1):
+            for c in range(hi + 1):
                 comp[t][j] = c
                 if fill(j + 1, remaining - c):
                     return True

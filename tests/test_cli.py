@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import mmsvote
 from mmsvote.cli import main
 from mmsvote.model import parse_matrix
 
@@ -41,6 +47,23 @@ def test_shares_json(tmp_path, capsys):
     assert blob["mms_adapt"] == [0, 0, 0, 0]
     assert blob["uniform_bound"] == [1, 1, 1, 1]
     assert "n3_bounds" not in blob
+
+
+def test_shares_mnw_gap_subprocess(tmp_path):
+    # the 10x360 Nash welfare gap instance, through a fresh interpreter
+    path = tmp_path / "gap.txt"
+    assert main(["gen", "--which", "mnw-gap", "--agents", "9", "--out", str(path)]) == 0
+    paths = [str(Path(mmsvote.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmsvote.cli", "shares", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "mms_adapt: 189" + " 217" * 9
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 def test_shares_missing_file(tmp_path, capsys):

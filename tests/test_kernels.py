@@ -1,7 +1,7 @@
 """The search kernels against the naive oracles in ``tests/oracles.py``:
 the permutation minimum against brute force and, past its reach, against
 metamorphic relations; the composition successor against a sorted
-brute-force enumeration; the warm-started share search against a
+(ascending) brute-force enumeration; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
 accounting and budget behavior); and the node counts of the ``shares``
 benchmark workload and of a batch of small 3- and 4-agent instances,
@@ -174,20 +174,49 @@ def test_compositions_order():
             within = [b for b in range(1, n) if classes[b] == classes[b - 1]]
             for total, candidates in splits.items():
                 expected = sorted(
-                    (p for p in candidates if all(p[b] <= p[b - 1] for b in within)),
-                    reverse=True,
+                    p for p in candidates if all(p[b] <= p[b - 1] for b in within)
                 )
                 assert enumerate_compositions(total, classes) == expected, (n, classes, total)
 
 
 def test_compositions_capacity_boundary():
-    # one run holds the whole tail after slot j and rest + 1 == (c - 1) * (n - 1 - j):
-    # the decrement just fits, and the next one does not
+    # the most even split comes first, the whole type in bundle 0 last
     rows = enumerate_compositions(6, (0, 0, 0))
-    assert rows[-2:] == [(3, 2, 1), (2, 2, 2)]
+    assert rows[0] == (2, 2, 2) and rows[-1] == (6, 0, 0)
+    # j inside the final run: the refill spreads over the slots after j
+    # only, and stays under the new row[j]
     rows = enumerate_compositions(7, (0, 1, 1, 1))
-    i = rows.index((1, 3, 2, 1))
-    assert rows[i + 1 : i + 3] == [(1, 2, 2, 2), (0, 7, 0, 0)]
+    i = rows.index((0, 3, 2, 2))
+    assert rows[i + 1 : i + 3] == [(0, 3, 3, 1), (0, 4, 2, 1)]
+    rows = enumerate_compositions(7, (0, 0, 0, 0))
+    i = rows.index((3, 2, 1, 1))
+    assert rows[i + 1 : i + 3] == [(3, 2, 2, 0), (3, 3, 1, 0)]
+    # j left of the final run: zeros up to the final run, then the even spread
+    rows = enumerate_compositions(5, (0, 0, 1, 1))
+    i = rows.index((1, 1, 3, 0))
+    assert rows[i + 1] == (2, 0, 2, 1)
+    rows = enumerate_compositions(7, (0, 1, 1, 1))
+    i = rows.index((0, 7, 0, 0))
+    assert rows[i + 1] == (1, 2, 2, 2)
+    # total 0 is one all-zero split; one slot takes the whole total
+    for classes in ((0,), (0, 0), (0, 1, 1), (0, 1, 2, 2, 3)):
+        assert enumerate_compositions(0, classes) == [(0,) * len(classes)]
+    for total in range(5):
+        assert enumerate_compositions(total, (0,)) == [(total,)]
+    # total 1: the unit visits the first slot of each run, last run first
+    assert enumerate_compositions(1, (0, 0, 1, 2, 2)) == [
+        (0, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0),
+        (1, 0, 0, 0, 0),
+    ]
+    for n in range(1, 8):
+        units = [tuple(int(b == s) for b in range(n)) for s in range(n)]
+        for classes in contiguous_runs(n):
+            expected = sorted(
+                p for p in units
+                if all(p[b] <= p[b - 1] for b in range(1, n) if classes[b] == classes[b - 1])
+            )
+            assert enumerate_compositions(1, classes) == expected, classes
 
 
 def test_search_empty_types():
@@ -202,22 +231,22 @@ SHARES_WORKLOAD = [
     (
         "7 12\n000011111111\n000011111111\n111100001111\n111100001111\n"
         "111111110000\n111111110000\n111111111111\n",
-        [(6, 1682), (6, 1682), (6, 1682), (6, 1682), (6, 1682), (6, 1682), (8, 3)],
+        [(6, 8), (6, 8), (6, 8), (6, 8), (6, 8), (6, 8), (8, 388)],
     ),
     (
         "6 12\n110100000100\n000110111000\n001010010100\n011011011001\n"
         "100101011110\n111000001111\n",
-        [(5, 3769), (5, 1647), (6, 1369), (5, 4334), (5, 3417), (5, 2704)],
+        [(5, 1766), (5, 2595), (6, 382), (5, 1502), (5, 1395), (5, 2578)],
     ),
     (
         "7 10\n0100101100\n1101110010\n1011011111\n0111011111\n0100000000\n"
         "1101110010\n0111111111\n",
-        [(3, 642), (5, 273), (3, 3346), (4, 277), (2, 863), (5, 273), (4, 265)],
+        [(3, 652), (5, 144), (3, 670), (4, 216), (2, 822), (5, 144), (4, 226)],
     ),
     (
         "8 10\n1011101100\n1010101011\n0001100001\n1011100101\n0000100001\n"
         "1100010010\n0011010101\n0011000111\n",
-        [(3, 2741), (3, 2000), (4, 849), (5, 265), (4, 509), (2, 5659), (3, 4282), (4, 890)],
+        [(3, 2784), (3, 2026), (4, 950), (5, 368), (4, 700), (2, 5665), (3, 4302), (4, 1461)],
     ),
 ]
 
@@ -266,17 +295,17 @@ def test_shares_workload_nodes_pure():
             searched[(matrix.n, items)] = nodes
     # distinct raw searches: this pins the kernel, not the solver's cache,
     # which runs one search per relabelled key (next test)
-    assert len(searched) == 24 and sum(searched.values()) == 45_150
+    assert len(searched) == 24 and sum(searched.values()) == 31_616
 
 
 def test_shares_workload_relabelled_searches():
     searched = relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD)
-    assert len(searched) == 22 and sum(searched.values()) == 33_935
+    assert len(searched) == 22 and sum(searched.values()) == 25_473
 
 
 def test_shares_workload_augmentations(monkeypatch):
     # the primal pre-test prunes most nodes before any augmenting step:
-    # 7,616 calls for the 22 searches, against 23,324 without it
+    # 5,851 calls for the 22 searches, against 16,618 without it
     keys = list(relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD))
     calls = 0
     augment = _kernels_py._augment
@@ -287,8 +316,8 @@ def test_shares_workload_augmentations(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(_kernels_py, "_augment", counted)
-    assert sum(items_search(*key)[1] for key in keys) == 33_935
-    assert calls == 7_616
+    assert sum(items_search(*key)[1] for key in keys) == 25_473
+    assert calls == 5_851
 
 
 def test_stage1_tripled_search_pinned():
@@ -297,7 +326,7 @@ def test_stage1_tripled_search_pinned():
     matrix = PreferenceMatrix.from_columns(gen_stage1(7) * 3)
     items = shares._views(matrix)[1].items
     assert shares._items_cap(7, items) == 14
-    assert items_search(7, items) == (12, 228_566)
+    assert items_search(7, items) == (12, 107_893)
 
 
 @st.composite
@@ -368,7 +397,7 @@ def test_small_instances_nodes_pinned():
             searches += 1
             nodes += used
             total_share += share
-    assert (searches, nodes, total_share) == (1047, 16_759, 2560)
+    assert (searches, nodes, total_share) == (1047, 8_348, 2560)
 
 
 def brute_force_class(n, items):
@@ -386,7 +415,7 @@ def brute_force_class(n, items):
 def test_small_instances_relabelled_searches():
     matrices = list(small_instances())
     searched = relabelled_searches(matrices)
-    assert len(searched) == 281 and sum(searched.values()) == 7_720
+    assert len(searched) == 281 and sum(searched.values()) == 3_692
     # at n <= 4 the signatures tell every pair of classes apart: one
     # search per relabelling class, no more
     classes = set()

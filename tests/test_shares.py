@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsvote.adversary import gen_mnw_gap
 from mmsvote.model import Partition, PreferenceMatrix, parse_matrix
 from mmsvote.shares import (
     SearchBudgetExceeded,
@@ -20,6 +21,7 @@ from mmsvote.shares import (
     share_report,
     uniform_bound,
 )
+from mmsvote.verify import mnw_t_sweep
 from oracles import canonical_census_multisets, naive_mms_adapt, random_matrix
 from test_kernels import SHARES_WORKLOAD, small_instances
 
@@ -189,6 +191,21 @@ def test_mms_partition_witness_attains_share():
             assert partition_guarantee(M, i, witness) == mms_adapt(M, i), (M.to_text(), i)
     witness = mms_partition(EXAMPLE_3x9, 1)
     assert partition_guarantee(EXAMPLE_3x9, 1, witness) == 6
+
+
+@pytest.mark.parametrize(
+    "n, expected", [(9, (189,) + (217,) * 9), (15, (765,) + (991,) * 15)]
+)
+def test_mnw_gap_shares_reach_uniform_bound(n, expected):
+    # the paper's Nash welfare gap family: every share reaches the cap
+    # floor(RDS), and agent 0's is the gap construction's MMS^adapt
+    M = gen_mnw_gap(n)
+    shares = mms_adapt_all(M)
+    assert shares == expected
+    assert shares == tuple(uniform_bound(M, i) for i in range(M.n))
+    assert shares[0] == mnw_t_sweep(n).mms1_reference
+    if n == 9:
+        assert partition_guarantee(M, 0, mms_partition(M, 0)) == 189
 
 
 def test_partition_guarantee_never_exceeds_share():

@@ -256,6 +256,15 @@ def test_t_sweep_matches_generated_instance():
     assert set(transcript.utilities[1:]) == {result.ui_majority}
 
 
+@pytest.mark.parametrize("n, ratio", [(9, Fraction(10, 21)), (15, Fraction(16, 51))])
+def test_mnw_gap_majority_ratio(n, ratio):
+    # majority on the gap family gives agent 0 only u1 / MMS^adapt of its
+    # share, the ratio the t-sweep's closed form predicts
+    matrix = gen_mnw_gap(n)
+    report = audit(matrix, run_rule("majority", matrix).outcome)
+    assert report.alpha_adapt == ratio == mnw_t_sweep(n).ratio
+
+
 def test_t_sweep_rejections():
     for n in (8, 11, 12):
         with pytest.raises(ValueError):
