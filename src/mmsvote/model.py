@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -206,9 +207,10 @@ class CanonicalType:
     the popcount when the type is made: "consensus" (all zeros), "split"
     (a strict majority exists), or "tie" (both sides equal, only possible
     for even n). It takes no part in equality or hashing. The hash is the
-    dataclass's ``hash((bits,))``, computed once when the type is made,
-    since census builds and rule runs look types up in dicts many times;
-    it stays out of pickles.
+    dataclass's ``hash((bits,))``; it and the minority side are computed
+    once when the type is made, since census builds and rule runs look
+    types up in dicts many times and ``_canonical`` shares one type
+    among all equal columns. Neither goes into pickles.
     """
 
     bits: tuple[int, ...]
@@ -220,9 +222,7 @@ class CanonicalType:
             raise ValueError("a canonical type needs at least one agent")
         if bits[0] != 0:
             raise ValueError("canonical orientation requires the first bit to be 0")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "kind", _kind(bits))
-        object.__setattr__(self, "_hash", hash((bits,)))
+        _fill(self, bits)
 
     def __hash__(self) -> int:
         return self._hash
@@ -231,8 +231,7 @@ class CanonicalType:
         return {"bits": self.bits, "kind": self.kind}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        object.__setattr__(self, "_hash", hash((self.bits,)))
+        _fill(self, state["bits"])
 
     @property
     def n(self) -> int:
@@ -243,7 +242,7 @@ class CanonicalType:
         """Which canonical bit value (0 or 1) the strict minority holds."""
         if self.kind != "split":
             raise ValueError(f"type {self} has no strict minority")
-        return 1 if 2 * sum(self.bits) < self.n else 0
+        return self._minority_bit
 
     @property
     def minority(self) -> tuple[int, ...]:
@@ -262,13 +261,16 @@ class CanonicalType:
         return "".join(str(b) for b in self.bits)
 
 
-def _kind(bits: tuple[int, ...]) -> str:
+def _fill(ctype: CanonicalType, bits: tuple[int, ...]) -> None:
+    """Set a type's bits and everything derived from them: the kind, the
+    minority bit (read only on split types) and the hash."""
     ones = sum(bits)
-    if ones == 0:
-        return "consensus"
-    if 2 * ones == len(bits):
-        return "tie"
-    return "split"
+    n = len(bits)
+    kind = "consensus" if ones == 0 else "tie" if 2 * ones == n else "split"
+    object.__setattr__(ctype, "bits", bits)
+    object.__setattr__(ctype, "kind", kind)
+    object.__setattr__(ctype, "_minority_bit", 1 if 2 * ones < n else 0)
+    object.__setattr__(ctype, "_hash", hash((bits,)))
 
 
 def canonicalize(column: Sequence[int]) -> tuple[CanonicalType, bool]:
@@ -284,15 +286,18 @@ def canonicalize(column: Sequence[int]) -> tuple[CanonicalType, bool]:
     return _canonical(bits)
 
 
+@lru_cache(maxsize=4096)
 def _canonical(bits: tuple[int, ...]) -> tuple[CanonicalType, bool]:
-    """``canonicalize`` for a nonempty tuple of 0/1 ints, unchecked."""
+    """``canonicalize`` for a nonempty tuple of 0/1 ints, unchecked.
+
+    Memoized, so equal columns share one immutable type. Only checked
+    bits may reach it: ``(1.0, 0)`` equals and hashes like ``(1, 0)``
+    and would read that column's entry."""
     flipped = bits[0] == 1
     if flipped:
         bits = tuple(1 - b for b in bits)
     ctype = object.__new__(CanonicalType)
-    object.__setattr__(ctype, "bits", bits)
-    object.__setattr__(ctype, "kind", _kind(bits))
-    object.__setattr__(ctype, "_hash", hash((bits,)))
+    _fill(ctype, bits)
     return ctype, flipped
 
 

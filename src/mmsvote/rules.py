@@ -33,7 +33,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from operator import eq
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     CanonicalType,
@@ -447,24 +448,28 @@ class _GracefulStepper(Stepper):
 
 
 def _graceful_outcome(
-    pattern: Callable[[CanonicalType], Sequence[str]], matrix: PreferenceMatrix
+    pattern: Callable[[CanonicalType], Sequence[str]],
+    n: int,
+    m: int,
+    types: Iterable[tuple[CanonicalType, Sequence[int], Sequence[bool]]],
 ) -> list[int]:
-    """The outcome a ``_GracefulStepper`` gives on the matrix's columns,
-    read off its type census: the k-th occurrence of a type takes token
-    k mod the sequence's length, flipped with the column. Types are met
-    in order of first occurrence, as the stepper meets them, so a bad
-    token table fails on the same type."""
-    n = matrix.n
-    outcome = [0] * matrix.m
-    for ctype, entry in type_census(matrix).items():
+    """The outcome a ``_GracefulStepper`` gives on a matrix's columns,
+    read off its type census: ``types`` holds each type with its column
+    indices and their flips, in order of first occurrence. The k-th
+    occurrence of a type takes token k mod the sequence's length,
+    flipped with the column. Types are met as the stepper meets them, so
+    a bad token table fails on the same type. Columns that no entry
+    lists stay 0."""
+    outcome = [0] * m
+    for ctype, occurrences, flips in types:
         if ctype.kind == "consensus":
-            for j, flipped in zip(entry.occurrences, entry.flipped):
+            for j, flipped in zip(occurrences, flips):
                 outcome[j] = int(flipped)
             continue
         tokens = _check_tokens(ctype, pattern(ctype), n)
         cycle = [_resolve_token(token, ctype, False) for token in tokens]
         period = len(cycle)
-        for k, (j, flipped) in enumerate(zip(entry.occurrences, entry.flipped)):
+        for k, (j, flipped) in enumerate(zip(occurrences, flips)):
             outcome[j] = cycle[k % period] ^ flipped
     return outcome
 
@@ -497,7 +502,8 @@ class GracefulRule(Rule):
 
     def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
         self.check_matrix(matrix)
-        outcome = _graceful_outcome(self.pattern, matrix)
+        types = ((t, e.occurrences, e.flipped) for t, e in type_census(matrix).items())
+        outcome = _graceful_outcome(self.pattern, matrix.n, matrix.m, types)
         return RuleTranscript.from_outcome(self.name, matrix, outcome)
 
 
@@ -576,14 +582,15 @@ def eta_vector(matrix: PreferenceMatrix) -> tuple[Fraction, Fraction, Fraction, 
     """
     if matrix.n != 4:
         raise ValueError("thresholds are defined for 4-agent instances")
-    return tuple(Fraction(q, 4) for q in _eta_quarters(matrix))
-
-
-def _eta_quarters(matrix: PreferenceMatrix) -> tuple[int, ...]:
-    """Four times each agent's ``eta_vector`` threshold, an integer."""
     solo, ties, consensus = n4_counts(matrix)
+    return tuple(Fraction(q, 4) for q in _eta_quarters(solo, sum(ties), consensus))
+
+
+def _eta_quarters(solo: Sequence[int], ties: int, consensus: int) -> tuple[int, ...]:
+    """Four times each agent's ``eta_vector`` threshold, an integer, from
+    the ``n4_counts`` with the tie counts summed."""
     total_alpha = sum(solo)
-    rest = 4 * consensus + 2 * sum(ties)
+    rest = 4 * consensus + 2 * ties
     return tuple(3 * (total_alpha - s) + s + rest for s in solo)
 
 
@@ -605,15 +612,26 @@ def deferred_ambiguity(
     """
     if matrix.n != 4:
         raise ValueError("the deferral rule is defined for 4 agents")
-    removed = sorted(
-        entry.occurrences[-1]
-        for ctype, entry in type_census(matrix).items()
-        if ctype.kind == "tie" and entry.count % 2 == 1
-    )
-    reduced = matrix.drop_columns(removed) if removed else matrix
-    inner_outcome, utilities = _utilities(reduced, _graceful_outcome(standard_pattern(4), reduced))
+    # The reduced instance is read off the full census: the k-th kept
+    # occurrence of a type is its k-th occurrence in the reduced matrix,
+    # and an odd tie type keeps all but its last.
+    removed = []
+    kept = []
+    for ctype, entry in type_census(matrix).items():
+        occurrences, flips = entry.occurrences, entry.flipped
+        if ctype.kind == "tie" and entry.count % 2 == 1:
+            removed.append(occurrences[-1])
+            occurrences, flips = occurrences[:-1], flips[:-1]
+        kept.append((ctype, occurrences, flips))
+    removed.sort()
+    outcome = _graceful_outcome(standard_pattern(4), 4, matrix.m, kept)
+    # -1 agrees with no agent, so the utilities count the kept columns only
+    for j in removed:
+        outcome[j] = -1
+    utilities = tuple(sum(map(eq, row, outcome)) for row in matrix.rows)
     # thresholds and utilities are compared in quarters, as integers
-    eta4 = _eta_quarters(reduced)
+    solo, ties, consensus = n4_counts(matrix)
+    eta4 = _eta_quarters(solo, sum(ties) - len(removed), consensus)
     eta = tuple(Fraction(q, 4) for q in eta4)
     short = [i for i in range(4) if 4 * utilities[i] < eta4[i]]
     if len(short) > 1:
@@ -642,13 +660,9 @@ def deferred_ambiguity(
             # columns cannot both be served by either of them, while any
             # other agent sides with each of them exactly once.
             i_star = min(i for i in range(4) if i not in at_threshold)
-    removed_set = set(removed)
-    inner = iter(inner_outcome)
-    outcome = tuple(
-        matrix.rows[i_star][j] if j in removed_set else next(inner)
-        for j in range(matrix.m)
-    )
-    return outcome, tuple(removed), i_star, eta
+    for j in removed:
+        outcome[j] = matrix.rows[i_star][j]
+    return tuple(outcome), tuple(removed), i_star, eta
 
 
 class DeferredAmbiguity4(Rule):

@@ -25,12 +25,16 @@ approximation.
 
 The share depends on the agreement structure only up to a relabelling of
 the agents: renaming them permutes the columns of every bundle-sum
-matrix, and the permutation minimum absorbs that. Searches are cached
-twice, both keyed with the node budget: first on the agent's raw items;
-on a miss, the agents are renamed by an invariant signature (the
+matrix, and the permutation minimum absorbs that. Results are cached on
+two levels, both keyed with the node budget. ``mms_adapt_all`` memoizes
+every agent's share, less the consensus columns, on the matrix's census
+of non-consensus types (canonical bits with counts, sorted), so
+matrices equal up to column order and orientation cost one lookup. On a
+miss, each agent's items are renamed by an invariant signature (the
 refinement step of canonical labelling, McKay & Piperno 2014) and the
 search is cached on the relabelled items, so views that differ only by
-agent labels are mostly searched once.
+agent labels are mostly searched once. ``mms_adapt`` and
+``mms_partition`` go through that class cache alone.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from mmsvote import kernels
 from mmsvote.model import (
@@ -149,11 +154,9 @@ class _View:
 
     ``consensus`` holds the consensus columns, which add their count to
     every permutation's total no matter where they are placed. ``groups``
-    maps each agreement mask (the agents on this agent's side of a
-    column) to its columns; types with equal masks are indistinguishable
-    to every agreement term of the game. Columns are in census order.
-    ``items`` is what the solver searches: (count, mask) per group, by
-    descending count, then by mask.
+    maps each agreement mask to its columns, in census order. ``items``
+    is what the solver searches: (count, mask) per group, in
+    ``_solver_items`` order.
     """
 
     __slots__ = ("consensus", "groups", "items")
@@ -161,8 +164,30 @@ class _View:
     def __init__(self, consensus: tuple[int, ...], groups: dict[int, list[int]]):
         self.consensus = consensus
         self.groups = groups
-        self.items = tuple(sorted(((len(cols), mask) for mask, cols in groups.items()),
-                                  key=lambda cm: (-cm[0], cm[1])))
+        self.items = _solver_items((len(cols), mask) for mask, cols in groups.items())
+
+
+def _solver_items(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """(count, mask) pairs by descending count, then by mask."""
+    return tuple(sorted(pairs, key=lambda cm: (-cm[0], cm[1])))
+
+
+def _agent_groups(n: int, types: Sequence[tuple[int, ...]]) -> list[dict[int, list[int]]]:
+    """Every agent's grouping of the non-consensus types, given by their
+    bits: a dict from agreement mask (the agents on the agent's side of
+    a type) to the indices of the types with that mask, in the given
+    order. Types with equal masks are indistinguishable to every
+    agreement term of the agent's game."""
+    everyone = (1 << n) - 1
+    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for t, bits in enumerate(types):
+        ones = 0
+        for a, b in enumerate(bits):
+            ones |= b << a
+        sides = (everyone ^ ones, ones)
+        for agent_groups, b in zip(groups, bits):
+            agent_groups.setdefault(sides[b], []).append(t)
+    return groups
 
 
 def _views(matrix: PreferenceMatrix) -> tuple[_View, ...]:
@@ -171,22 +196,20 @@ def _views(matrix: PreferenceMatrix) -> tuple[_View, ...]:
     views = matrix.__dict__.get("_views")
     if views is not None:
         return views
-    n = matrix.n
-    everyone = (1 << n) - 1
     consensus: list[int] = []
-    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    bits: list[tuple[int, ...]] = []
+    occurrences: list[tuple[int, ...]] = []
     for ctype, entry in type_census(matrix).items():
         if ctype.kind == "consensus":
             consensus.extend(entry.occurrences)
-            continue
-        ones = 0
-        for a, b in enumerate(ctype.bits):
-            ones |= b << a
-        sides = (everyone ^ ones, ones)
-        for agent_groups, b in zip(groups, ctype.bits):
-            agent_groups.setdefault(sides[b], []).extend(entry.occurrences)
+        else:
+            bits.append(ctype.bits)
+            occurrences.append(entry.occurrences)
     shared = tuple(consensus)
-    views = tuple(_View(shared, g) for g in groups)
+    views = tuple(
+        _View(shared, {mask: [j for t in ts for j in occurrences[t]] for mask, ts in g.items()})
+        for g in _agent_groups(matrix.n, bits)
+    )
     object.__setattr__(matrix, "_views", views)
     return views
 
@@ -232,11 +255,10 @@ def _relabel(
     return tuple((-c, mask) for c, mask, _ in relabelled), [t for _, _, t in relabelled]
 
 
-@lru_cache(maxsize=65536)
 def _search(n: int, items: tuple[tuple[int, int], ...], budget: int):
-    """``(best, composition)`` for an agent's ``_View.items``, cached on
-    the raw items; a miss searches their relabelled class and puts the
-    composition rows back in the items' order."""
+    """``(best, composition)`` for an agent's ``_View.items``: the cached
+    search of their relabelled class, with the composition rows put back
+    in the items' order."""
     relabelled, source = _relabel(n, items)
     best, comp = _search_class(n, relabelled, budget)
     rows: list[tuple[int, ...]] = [()] * len(items)
@@ -270,12 +292,33 @@ def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
 
 
 def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
-    """``mms_adapt`` of every agent, in agent order."""
-    n = matrix.n
-    budget = effective_budget()
-    return tuple(
-        len(view.consensus) + _search(n, view.items, budget)[0] for view in _views(matrix)
-    )
+    """``mms_adapt`` of every agent, in agent order, memoized on the
+    matrix's type census."""
+    consensus = 0
+    census = []
+    for ctype, entry in type_census(matrix).items():
+        if ctype.kind == "consensus":
+            consensus += entry.count
+        else:
+            census.append((ctype.bits, entry.count))
+    census.sort()
+    bests = _census_bests(matrix.n, tuple(census), effective_budget())
+    return tuple(consensus + best for best in bests)
+
+
+@lru_cache(maxsize=65536)
+def _census_bests(n: int, census: tuple[tuple[tuple[int, ...], int], ...], budget: int):
+    """Every agent's share, less the consensus columns, for a census of
+    non-consensus types given as sorted ``(bits, count)`` pairs. Each
+    agent's items go through the cached search of their relabelled
+    class."""
+    bests = []
+    for groups in _agent_groups(n, [bits for bits, _ in census]):
+        items = _solver_items(
+            (sum(census[t][1] for t in types), mask) for mask, types in groups.items()
+        )
+        bests.append(_search_class(n, _relabel(n, items)[0], budget)[0])
+    return tuple(bests)
 
 
 def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:

@@ -113,23 +113,35 @@ def audit(matrix: PreferenceMatrix, outcome: Sequence[int]) -> AuditReport:
     ratios = tuple(
         None if s == 0 else Fraction(u, s) for u, s in zip(utilities, shares)
     )
-    defined = [r for r in ratios if r is not None]
     egal = mms_egal(matrix.m)
     egal_ratios = tuple(
         None if egal == 0 else Fraction(u, egal) for u in utilities
     )
-    defined_egal = [r for r in egal_ratios if r is not None]
     return AuditReport(
         n=matrix.n,
         m=matrix.m,
         utilities=utilities,
         mms_adapt=shares,
         ratios=ratios,
-        alpha_adapt=min(defined) if defined else None,
+        alpha_adapt=_lowest_ratio(utilities, shares, ratios),
         egal_share=egal,
         egal_ratios=egal_ratios,
-        alpha_egal=min(defined_egal) if defined_egal else None,
+        alpha_egal=_lowest_ratio(utilities, (egal,) * matrix.n, egal_ratios),
     )
+
+
+def _lowest_ratio(
+    utilities: Sequence[int], shares: Sequence[int], ratios: Sequence[Fraction | None]
+) -> Fraction | None:
+    """The entry of ``ratios`` (``utilities[k] / shares[k]``, None where
+    the share is zero) with the lowest value, found by comparing
+    ``u * s'`` with ``u' * s`` in integers; None when every share is
+    zero."""
+    low = None
+    for k, (u, s) in enumerate(zip(utilities, shares)):
+        if s and (low is None or u * shares[low] < utilities[low] * s):
+            low = k
+    return None if low is None else ratios[low]
 
 
 def check_certificate(cert: ViolationCertificate) -> bool:

@@ -207,9 +207,10 @@ def reference_eta_vector(matrix):
 
 
 def reference_deferred_ambiguity(matrix):
-    """The 4-agent deferral rule through a full inner rule run: the
-    standard graceful rule's transcript on the reduced instance, compared
-    against ``reference_eta_vector`` as ``Fraction``s. Returns the same
+    """The 4-agent deferral rule through a second matrix: the reduced
+    instance is built with ``drop_columns`` and gets its own census, the
+    standard graceful rule's transcript on it is compared against
+    ``reference_eta_vector`` as ``Fraction``s. Returns the same
     ``(outcome, removed, compensated agent, thresholds)`` tuple as
     ``mmsvote.rules.deferred_ambiguity``."""
     from mmsvote.model import type_census

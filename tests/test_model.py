@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mmsvote import model
 from mmsvote.model import (
     CanonicalType,
     ParseError,
@@ -179,6 +180,31 @@ def test_canonical_type_hash_and_pickle():
             again = pickle.loads(blob)
             assert again == t and hash(again) == hash(t) and again.kind == t.kind
     assert CanonicalType((0, 1, 1)).__reduce_ex__(2)[2] == {"bits": (0, 1, 1), "kind": "split"}
+
+
+def test_canonical_memo_shares_types():
+    # equal columns read one memoized type, complementary ones an equal,
+    # hash-equal type; the memo is bounded and sits behind canonicalize's
+    # input check
+    rng = random.Random(31)
+    for _ in range(200):
+        col = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 6)))
+        t, flip = canonicalize(col)
+        u, flip_u = canonicalize(list(col))
+        c, flip_c = canonicalize(tuple(1 - b for b in col))
+        assert t is u and t == c and flip == flip_u != flip_c
+        assert t == CanonicalType(t.bits) and hash(t) == hash(c) == hash(CanonicalType(t.bits))
+        if t.kind == "split":
+            assert t.minority_bit == (1 if 2 * sum(t.bits) < t.n else 0)
+    assert model._canonical.cache_info().maxsize is not None
+    canonicalize((1, 0))
+    model._canonical.cache_clear()
+    canonicalize((1, 0))
+    for bad in [(1.0, 0), (2, 0), ("1", 0), ()]:
+        with pytest.raises(ValueError):
+            canonicalize(bad)
+    info = model._canonical.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
 
 
 def test_canonical_type_rejects_bad_orientation():

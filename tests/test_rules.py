@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from mmsvote.model import PreferenceMatrix, canonicalize, parse_matrix, utility
+from mmsvote.model import PreferenceMatrix, canonicalize, parse_matrix, type_census, utility
 from mmsvote.rules import (
     AlwaysMinorityRule,
     ConstantRule,
@@ -520,6 +521,43 @@ def test_deferred_ambiguity_matches_fraction_reference():
         outcome, removed, i_star, eta = deferred_ambiguity(M)
         assert (outcome, removed, i_star, eta) == reference_deferred_ambiguity(M)
         assert all(isinstance(t, Fraction) for t in eta)
+
+
+TIE_COLUMNS = [c for c in itertools.product((0, 1), repeat=4) if sum(c) == 2]
+
+
+def test_deferred_ambiguity_census_matches_drop_columns_path():
+    # the reduced instance read off the full census against a second
+    # matrix built with drop_columns: every 4 x m matrix up to m = 3, then
+    # seeded ones up to m = 12 with most columns drawn from the tie types
+    cases = [
+        PreferenceMatrix.from_columns(cols, n_agents=4)
+        for m in range(4)
+        for cols in itertools.product(itertools.product((0, 1), repeat=4), repeat=m)
+    ]
+    rng = random.Random(5150)
+    for m in range(4, 13):
+        for _ in range(120):
+            cases.append(PreferenceMatrix.from_columns([
+                rng.choice(TIE_COLUMNS) if rng.random() < 0.6
+                else tuple(rng.randint(0, 1) for _ in range(4))
+                for _ in range(m)
+            ]))
+    lone_ties = pair_served = 0
+    for M in cases:
+        got = deferred_ambiguity(M)
+        assert got == reference_deferred_ambiguity(M)
+        outcome, removed, i_star, eta = got
+        census = type_census(M)
+        lone_ties += any(t.kind == "tie" and e.count == 1 for t, e in census.items())
+        kept = [j for j in range(M.m) if j not in removed]
+        inner = [sum(M.rows[i][j] == outcome[j] for j in kept) for i in range(4)]
+        at_threshold = [i for i in range(4) if inner[i] == eta[i]]
+        if all(u >= t for u, t in zip(inner, eta)) and len(at_threshold) == 2:
+            pair_served += i_star not in at_threshold
+    # tie types that vanish from the reduced census, and the branch that
+    # serves a disagreeing threshold pair from outside, both occur
+    assert lone_ties > 500 and pair_served > 20
 
 
 OUTCOME_MATRIX = {

@@ -1,11 +1,13 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsvote import shares
 from mmsvote.adversary import gen_mnw_gap
 from mmsvote.model import Partition, PreferenceMatrix, parse_matrix
 from mmsvote.shares import (
@@ -293,15 +295,65 @@ def test_share_report_json():
 
 
 def test_mms_adapt_all_matches_per_agent_calls():
-    # every agent's view comes from one census walk; each per-agent call
-    # here builds its views on a fresh matrix
+    # mms_adapt_all reads the census memo, mms_adapt one agent's view;
+    # each per-agent call here builds its views on a fresh matrix
     rng = random.Random(7321)
-    shapes = [(3, 10)] * 150 + [(4, 8)] * 150 + [(5, 6)] * 40 + [(6, 5)] * 30 + [(7, 4)] * 30
+    shapes = [(2, 8)] * 60 + [(3, 10)] * 150 + [(4, 8)] * 150 + [(5, 6)] * 40
+    shapes += [(6, 5)] * 30 + [(7, 4)] * 30
     for n, m_max in shapes:
         m = rng.randint(1, m_max)
         rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n)]
         expected = tuple(mms_adapt(PreferenceMatrix.from_rows(rows), i) for i in range(n))
         assert mms_adapt_all(PreferenceMatrix.from_rows(rows)) == expected
+        # consensus columns anywhere add one each to every share
+        cols = list(zip(*rows))
+        for _ in range(rng.randint(1, 3)):
+            cols.insert(rng.randint(0, len(cols)), (rng.randint(0, 1),) * n)
+        more = tuple(v + len(cols) - m for v in expected)
+        assert tuple(mms_adapt(PreferenceMatrix.from_columns(cols), i) for i in range(n)) == more
+        assert mms_adapt_all(PreferenceMatrix.from_columns(cols)) == more
+
+
+def clear_package_caches():
+    """Empty every functools cache in the package, as a fresh process has them."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mmsvote") and module is not None:
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_census_memo_ignores_column_order_and_orientation():
+    rng = random.Random(6607)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        M = random_matrix(rng, n, rng.randint(0, 8 if n < 5 else 5))
+        shares._census_bests.cache_clear()
+        expected = mms_adapt_all(M)
+        cols = list(M.columns())
+        rng.shuffle(cols)
+        permuted = PreferenceMatrix.from_columns(cols, n_agents=n)
+        flipped = PreferenceMatrix.from_columns(
+            [tuple(1 - b for b in col) if rng.random() < 0.5 else col for col in cols], n_agents=n
+        )
+        assert mms_adapt_all(permuted) == mms_adapt_all(flipped) == expected
+        info = shares._census_bests.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+def test_census_memo_cold_start_searches():
+    # from cold caches, the memo runs exactly the searches of the
+    # relabelled classes (test_kernels pins the same 281) and no more;
+    # the 300 matrices have 198 distinct non-consensus censuses
+    clear_package_caches()
+    matrices = list(small_instances())
+    first = [mms_adapt_all(matrix) for matrix in matrices]
+    assert shares._search_class.cache_info().misses == 281
+    assert shares._census_bests.cache_info().misses == 198
+    assert shares._census_bests.cache_info().maxsize is not None
+    clear_package_caches()
+    assert [mms_adapt_all(matrix) for matrix in matrices] == first
+    assert shares._search_class.cache_info().misses == 281
 
 
 @st.composite

@@ -18,11 +18,13 @@ from mmsvote.rules import run_rule
 from mmsvote.shares import mms_adapt_all, mms_egal, partition_guarantee
 from mmsvote.verify import (
     THRESHOLDS,
+    _lowest_ratio,
     audit,
     check_certificate,
     exhaustive_check,
     mnw_t_sweep,
 )
+from oracles import random_matrix
 
 EXAMPLES = gen_named_examples()
 
@@ -62,6 +64,30 @@ def test_audit_vacuous_shares():
         blob = report.to_dict()
         assert blob["alpha_adapt"] == "inf"
         assert blob["ratios"] == ["inf"] * 4
+
+
+def test_lowest_ratio_matches_fraction_min():
+    # the integer cross-multiplication picks an entry equal to min() over
+    # the defined Fractions, zero shares skipped, None when all are zero
+    rng = random.Random(1409)
+    cases = [((3, 5), (0, 0)), ((0, 2), (0, 3)), ((4, 4, 1), (2, 2, 0))]
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        utilities = tuple(rng.randint(0, 9) for _ in range(n))
+        cases.append((utilities, tuple(rng.choice((0, rng.randint(1, 9))) for _ in range(n))))
+    for utilities, shares in cases:
+        ratios = tuple(None if s == 0 else Fraction(u, s) for u, s in zip(utilities, shares))
+        defined = [r for r in ratios if r is not None]
+        low = _lowest_ratio(utilities, shares, ratios)
+        assert low == (min(defined) if defined else None)
+        assert low is None or isinstance(low, Fraction)
+    for _ in range(200):
+        matrix = random_matrix(rng, rng.randint(2, 5), rng.randint(0, 6))
+        report = audit(matrix, tuple(rng.randint(0, 1) for _ in range(matrix.m)))
+        for alpha, ratios in ((report.alpha_adapt, report.ratios),
+                              (report.alpha_egal, report.egal_ratios)):
+            defined = [r for r in ratios if r is not None]
+            assert alpha == (min(defined) if defined else None)
 
 
 def test_audit_json_shape():
