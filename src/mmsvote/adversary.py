@@ -278,6 +278,10 @@ class ViolationCertificate:
             instance = parse_matrix(blob["instance"])
         except ValueError as exc:
             raise CertificateError(f"bad instance: {exc}") from None
+        if "n" in blob and (not _is_int(blob["n"]) or blob["n"] != instance.n):
+            raise CertificateError(
+                f"agent count n must be {instance.n} as in the instance, got {blob['n']!r}"
+            )
         decisions = blob["decisions"]
         if (
             not isinstance(decisions, str)

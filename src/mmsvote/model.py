@@ -110,8 +110,8 @@ class PreferenceMatrix:
         object.__setattr__(self, "rows", tuple(clean))
 
     def __getstate__(self) -> dict:
-        # the cached census and share views are not serialized; they are
-        # rebuilt on demand
+        # the cached type census is not serialized; it is rebuilt on
+        # demand
         return {"rows": self.rows}
 
     @classmethod

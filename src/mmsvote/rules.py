@@ -795,51 +795,33 @@ class MaxNashWelfareRule(Rule):
 # registry
 
 
-def build_rule(name: str) -> Rule:
-    """Construct a rule from its command-line name.
+_RULE_FACTORIES: dict[str, Callable[[], Rule]] = {
+    "majority": MajorityRule,
+    "ptrr3": _ptrr3,
+    "ptrr-generalized": _ptrr_generalized,
+    "muffled3": MuffledMajority3,
+    "deferred4": DeferredAmbiguity4,
+    "mnw": MaxNashWelfareRule,
+    "always-0": lambda: ConstantRule(0),
+    "always-1": lambda: ConstantRule(1),
+    "always-minority": AlwaysMinorityRule,
+}
 
-    Recognized names: ``majority``, ``ptrr3``, ``ptrr-generalized``,
-    ``muffled3``, ``deferred4``, ``mnw``, ``always-0``, ``always-1``,
-    ``always-minority``, and ``graceful:<path>`` for a token table file.
-    """
-    if name == "majority":
-        return MajorityRule()
-    if name == "ptrr3":
-        return _ptrr3()
-    if name == "ptrr-generalized":
-        return _ptrr_generalized()
-    if name == "muffled3":
-        return MuffledMajority3()
-    if name == "deferred4":
-        return DeferredAmbiguity4()
-    if name == "mnw":
-        return MaxNashWelfareRule()
-    if name == "always-0":
-        return ConstantRule(0)
-    if name == "always-1":
-        return ConstantRule(1)
-    if name == "always-minority":
-        return AlwaysMinorityRule()
+RULE_NAMES = (*_RULE_FACTORIES, "graceful:<path>")
+
+
+def build_rule(name: str) -> Rule:
+    """Construct a rule from its command-line name: one of ``RULE_NAMES``,
+    where ``graceful:<path>`` loads a token table file."""
+    factory = _RULE_FACTORIES.get(name)
+    if factory is not None:
+        return factory()
     if name.startswith("graceful:"):
         path = name[len("graceful:"):]
         if not path:
             raise ValueError("graceful: needs a token table path")
         return GracefulRule.from_map(GracefulMap.load(path))
     raise ValueError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}")
-
-
-RULE_NAMES = (
-    "majority",
-    "ptrr3",
-    "ptrr-generalized",
-    "muffled3",
-    "deferred4",
-    "mnw",
-    "always-0",
-    "always-1",
-    "always-minority",
-    "graceful:<path>",
-)
 
 
 def run_rule(rule: Rule | str, matrix: PreferenceMatrix) -> RuleTranscript:

@@ -25,16 +25,18 @@ approximation.
 
 The share depends on the agreement structure only up to a relabelling of
 the agents: renaming them permutes the columns of every bundle-sum
-matrix, and the permutation minimum absorbs that. Results are cached on
-two levels, both keyed with the node budget. ``mms_adapt_all`` memoizes
-every agent's share, less the consensus columns, on the matrix's census
-of non-consensus types (canonical bits with counts, sorted), so
-matrices equal up to column order and orientation cost one lookup. On a
-miss, each agent's items are renamed by an invariant signature (the
-refinement step of canonical labelling, McKay & Piperno 2014) and the
-search is cached on the relabelled items, so views that differ only by
-agent labels are mostly searched once. ``mms_adapt`` and
-``mms_partition`` go through that class cache alone.
+matrix, and the permutation minimum absorbs that. Every share query reads
+the matrix's census of non-consensus types (canonical bits with counts,
+sorted), builds the agents' solver items from it and searches each
+agent's relabelled items: the items are renamed by an invariant
+signature (the refinement step of canonical labelling, McKay & Piperno
+2014), so agents whose items differ only by agent labels are mostly
+searched once. Two caches, both keyed with the node budget, hold the
+results: the class cache of those searches, which ``mms_adapt`` and
+``mms_partition`` read for one agent, and ``mms_adapt_all``'s memo of
+every agent's share, less the consensus columns, on the sorted census,
+so matrices equal up to column order and orientation cost one lookup.
+The matrix itself caches only its type census.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from mmsvote import kernels
 from mmsvote.model import (
@@ -149,69 +151,42 @@ def uniform_bound(matrix: PreferenceMatrix, i: int) -> int:
     return _rds_totals(matrix)[i] // matrix.n
 
 
-class _View:
-    """One agent's view of the census, as the solver and the witness need it.
-
-    ``consensus`` holds the consensus columns, which add their count to
-    every permutation's total no matter where they are placed. ``groups``
-    maps each agreement mask to its columns, in census order. ``items``
-    is what the solver searches: (count, mask) per group, in
-    ``_solver_items`` order.
-    """
-
-    __slots__ = ("consensus", "groups", "items")
-
-    def __init__(self, consensus: tuple[int, ...], groups: dict[int, list[int]]):
-        self.consensus = consensus
-        self.groups = groups
-        self.items = _solver_items((len(cols), mask) for mask, cols in groups.items())
+def _census(matrix: PreferenceMatrix) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """The consensus count and the non-consensus types of the matrix's
+    census as ``(bits, count)`` pairs sorted by bits: the agreement
+    structure the shares depend on, whatever the column order and
+    orientation."""
+    consensus = 0
+    types = []
+    for ctype, entry in type_census(matrix).items():
+        if ctype.kind == "consensus":
+            consensus += entry.count
+        else:
+            types.append((ctype.bits, entry.count))
+    types.sort()
+    return consensus, tuple(types)
 
 
-def _solver_items(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """(count, mask) pairs by descending count, then by mask."""
-    return tuple(sorted(pairs, key=lambda cm: (-cm[0], cm[1])))
-
-
-def _agent_groups(n: int, types: Sequence[tuple[int, ...]]) -> list[dict[int, list[int]]]:
-    """Every agent's grouping of the non-consensus types, given by their
-    bits: a dict from agreement mask (the agents on the agent's side of
-    a type) to the indices of the types with that mask, in the given
-    order. Types with equal masks are indistinguishable to every
-    agreement term of the agent's game."""
+def _agent_items(
+    n: int, types: Sequence[tuple[tuple[int, ...], int]], i: int
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+    """Agent i's solver items for non-consensus types given as ``(bits,
+    count)`` pairs: ``(count, mask)`` per agreement mask (the agents on
+    agent i's side of a type), by descending count, then by mask; and for
+    each item the indices of the types it groups. Types with equal masks
+    are indistinguishable to every agreement term of the agent's game."""
     everyone = (1 << n) - 1
-    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    for t, bits in enumerate(types):
+    counts: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    for t, (bits, count) in enumerate(types):
         ones = 0
         for a, b in enumerate(bits):
             ones |= b << a
-        sides = (everyone ^ ones, ones)
-        for agent_groups, b in zip(groups, bits):
-            agent_groups.setdefault(sides[b], []).append(t)
-    return groups
-
-
-def _views(matrix: PreferenceMatrix) -> tuple[_View, ...]:
-    """Every agent's view, from one walk over the census; cached on the
-    matrix like the census itself."""
-    views = matrix.__dict__.get("_views")
-    if views is not None:
-        return views
-    consensus: list[int] = []
-    bits: list[tuple[int, ...]] = []
-    occurrences: list[tuple[int, ...]] = []
-    for ctype, entry in type_census(matrix).items():
-        if ctype.kind == "consensus":
-            consensus.extend(entry.occurrences)
-        else:
-            bits.append(ctype.bits)
-            occurrences.append(entry.occurrences)
-    shared = tuple(consensus)
-    views = tuple(
-        _View(shared, {mask: [j for t in ts for j in occurrences[t]] for mask, ts in g.items()})
-        for g in _agent_groups(matrix.n, bits)
-    )
-    object.__setattr__(matrix, "_views", views)
-    return views
+        mask = ones if bits[i] else everyone ^ ones
+        counts[mask] = counts.get(mask, 0) + count
+        groups.setdefault(mask, []).append(t)
+    masks = sorted(groups, key=lambda mask: (-counts[mask], mask))
+    return tuple((counts[mask], mask) for mask in masks), [groups[mask] for mask in masks]
 
 
 def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
@@ -222,7 +197,7 @@ def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
 def _relabel(
     n: int, items: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """Rename the agents so that views equal up to agent labels tend to
+    """Rename the agents so that items equal up to agent labels tend to
     meet in one key.
 
     Each agent's signature is the sorted multiset of (count, popcount of
@@ -235,7 +210,7 @@ def _relabel(
     Renaming agents permutes the columns of every bundle-sum matrix, which
     the permutation minimum absorbs, so any renaming keeps the share and
     keeps every composition a witness. The index tie-break only costs
-    cache hits between views the signatures do not tell apart.
+    cache hits between items the signatures do not tell apart.
     """
     signatures: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for count, mask in items:
@@ -255,18 +230,6 @@ def _relabel(
     return tuple((-c, mask) for c, mask, _ in relabelled), [t for _, _, t in relabelled]
 
 
-def _search(n: int, items: tuple[tuple[int, int], ...], budget: int):
-    """``(best, composition)`` for an agent's ``_View.items``: the cached
-    search of their relabelled class, with the composition rows put back
-    in the items' order."""
-    relabelled, source = _relabel(n, items)
-    best, comp = _search_class(n, relabelled, budget)
-    rows: list[tuple[int, ...]] = [()] * len(items)
-    for t, row in zip(source, comp):
-        rows[t] = row
-    return best, tuple(rows)
-
-
 @lru_cache(maxsize=65536)
 def _search_class(n: int, items: tuple[tuple[int, int], ...], budget: int):
     """The kernel search for relabelled items: one per relabelled key."""
@@ -280,66 +243,65 @@ def _search_class(n: int, items: tuple[tuple[int, int], ...], budget: int):
 
 
 def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
-    """Exact adaptive maxi-min share of agent i (0-based).
+    """Exact adaptive maxi-min share of agent i (0-based); searches agent
+    i's relabelled class only.
 
     Raises SearchBudgetExceeded when the node budget runs out.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
-    view = _views(matrix)[i]
-    best, _ = _search(matrix.n, view.items, effective_budget())
-    return len(view.consensus) + best
+    n = matrix.n
+    consensus, types = _census(matrix)
+    items, _ = _agent_items(n, types, i)
+    return consensus + _search_class(n, _relabel(n, items)[0], effective_budget())[0]
 
 
 def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
     """``mms_adapt`` of every agent, in agent order, memoized on the
     matrix's type census."""
-    consensus = 0
-    census = []
-    for ctype, entry in type_census(matrix).items():
-        if ctype.kind == "consensus":
-            consensus += entry.count
-        else:
-            census.append((ctype.bits, entry.count))
-    census.sort()
-    bests = _census_bests(matrix.n, tuple(census), effective_budget())
+    consensus, types = _census(matrix)
+    bests = _census_bests(matrix.n, types, effective_budget())
     return tuple(consensus + best for best in bests)
 
 
 @lru_cache(maxsize=65536)
-def _census_bests(n: int, census: tuple[tuple[tuple[int, ...], int], ...], budget: int):
-    """Every agent's share, less the consensus columns, for a census of
-    non-consensus types given as sorted ``(bits, count)`` pairs. Each
-    agent's items go through the cached search of their relabelled
-    class."""
-    bests = []
-    for groups in _agent_groups(n, [bits for bits, _ in census]):
-        items = _solver_items(
-            (sum(census[t][1] for t in types), mask) for mask, types in groups.items()
-        )
-        bests.append(_search_class(n, _relabel(n, items)[0], budget)[0])
-    return tuple(bests)
+def _census_bests(n: int, types: tuple[tuple[tuple[int, ...], int], ...], budget: int):
+    """Every agent's share, less the consensus columns, for the sorted
+    non-consensus census ``types``. Each agent's items go through the
+    cached search of their relabelled class."""
+    return tuple(
+        _search_class(n, _relabel(n, _agent_items(n, types, i)[0])[0], budget)[0]
+        for i in range(n)
+    )
 
 
 def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     """An optimal partition witnessing mms_adapt(matrix, i).
 
     The witness is the first optimum in the solver's canonical
-    (symmetry-pruned) enumeration order of the relabelled items, mapped
-    back to agent i's own items; consensus columns all sit in the first
-    bundle. That order visits each type's splits most even first, so the
-    witness may differ from the one earlier versions returned; any
-    optimum is a valid witness. ``partition_guarantee`` of the result
-    equals the share.
+    (symmetry-pruned) enumeration order of agent i's relabelled items,
+    mapped back to agent i's own items; consensus columns all sit in the
+    first bundle. Each item's columns are taken from its types in the
+    order of the sorted census (by canonical bits), then by column
+    index, so the witness may differ from the one earlier versions
+    returned; any optimum is a valid witness. ``partition_guarantee`` of
+    the result equals the share.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
-    view = _views(matrix)[i]
-    _, comp = _search(n, view.items, effective_budget())
-    bundles: list[list[int]] = [list(view.consensus)] + [[] for _ in range(n - 1)]
-    for (_, mask), alloc in zip(view.items, comp):
-        cols = view.groups[mask]
+    _, types = _census(matrix)
+    items, groups = _agent_items(n, types, i)
+    relabelled, source = _relabel(n, items)
+    _, comp = _search_class(n, relabelled, effective_budget())
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    occurrences = {}
+    for ctype, entry in type_census(matrix).items():
+        if ctype.kind == "consensus":
+            bundles[0].extend(entry.occurrences)
+        occurrences[ctype.bits] = entry.occurrences
+    for t, alloc in zip(source, comp):
+        cols = [j for k in groups[t] for j in occurrences[types[k][0]]]
         pos = 0
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])

@@ -367,6 +367,12 @@ def test_certificate_parse_rejections():
         ViolationCertificate.from_json(broken(victim=True))
     with pytest.raises(CertificateError, match="integers"):
         ViolationCertificate.from_json(broken(achieved=False))
+    # "n" is optional, but when present it must be the instance's agent count
+    for bad_n in (99, 6, True, "7", 7.0, None):
+        with pytest.raises(CertificateError, match="agent count"):
+            ViolationCertificate.from_json(broken(n=bad_n))
+    del blob["n"]
+    assert ViolationCertificate.from_json(json.dumps(blob)).instance.n == 7
 
 
 def test_attack_transcript_matches_instance():

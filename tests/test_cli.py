@@ -177,6 +177,22 @@ def test_attack_and_certificate_check(tmp_path, capsys):
     assert code == 2
     assert "witness" in err
 
+    blob["achieved"] = blob["achieved"] - 1
+    blob["witness"] = [[int(j) for j in bundle] for bundle in blob["witness"]]
+    for bad_n in (99, True):
+        blob["n"] = bad_n
+        wrong_n = tmp_path / "wrong_n.json"
+        wrong_n.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "verify", "--certificate", str(wrong_n))
+        assert (code, out) == (2, "")
+        assert "agent count" in err
+    del blob["n"]
+    no_n = tmp_path / "no_n.json"
+    no_n.write_text(json.dumps(blob))
+    code, out, _ = run_cli(capsys, "verify", "--certificate", str(no_n))
+    assert code == 0
+    assert out.strip() == "valid"
+
     del blob["witness"]
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(blob))

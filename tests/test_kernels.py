@@ -262,12 +262,18 @@ def items_search(n, items):
     return best, nodes
 
 
+def agent_items(matrix, i):
+    """Agent i's raw solver items, before the solver relabels the agents,
+    and the matrix's consensus count."""
+    consensus, types = shares._census(matrix)
+    return shares._agent_items(matrix.n, types, i)[0], consensus
+
+
 def agent_search(matrix, i):
-    """Agent i's share search on its raw solver items, before the solver
-    relabels the agents: (share, nodes, items)."""
-    view = shares._views(matrix)[i]
-    best, nodes = items_search(matrix.n, view.items)
-    return len(view.consensus) + best, nodes, view.items
+    """Agent i's share search on its raw solver items: (share, nodes, items)."""
+    items, consensus = agent_items(matrix, i)
+    best, nodes = items_search(matrix.n, items)
+    return consensus + best, nodes, items
 
 
 def relabelled_searches(matrices):
@@ -277,7 +283,7 @@ def relabelled_searches(matrices):
     searched = {}
     for matrix in matrices:
         for i in range(matrix.n):
-            items = shares._views(matrix)[i].items
+            items = agent_items(matrix, i)[0]
             key = (matrix.n, shares._relabel(matrix.n, items)[0])
             if key not in searched:
                 best, searched[key] = items_search(*key)
@@ -324,7 +330,7 @@ def test_stage1_tripled_search_pinned():
     # gen_stage1(7) * 3, a 7x21 instance, agent index 1: a deep search
     # (cap 14) that the workloads do not reach
     matrix = PreferenceMatrix.from_columns(gen_stage1(7) * 3)
-    items = shares._views(matrix)[1].items
+    items = agent_items(matrix, 1)[0]
     assert shares._items_cap(7, items) == 14
     assert items_search(7, items) == (12, 107_893)
 
@@ -421,6 +427,6 @@ def test_small_instances_relabelled_searches():
     classes = set()
     for matrix in matrices:
         for i in range(matrix.n):
-            items = shares._views(matrix)[i].items
+            items = agent_items(matrix, i)[0]
             classes.add((matrix.n, brute_force_class(matrix.n, items)))
     assert len(classes) == len(searched)

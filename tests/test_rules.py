@@ -484,11 +484,17 @@ def test_registry_names_and_flags():
     assert not build_rule("deferred4").online
     assert not build_rule("mnw").online
     assert build_rule("ptrr3").required_agents == 3
-    with pytest.raises(ValueError, match="unknown rule"):
+    known = (
+        "majority, ptrr3, ptrr-generalized, muffled3, deferred4, mnw, "
+        "always-0, always-1, always-minority, graceful:<path>"
+    )
+    with pytest.raises(ValueError) as excinfo:
         build_rule("plurality")
+    assert str(excinfo.value) == f"unknown rule 'plurality'; known: {known}"
     with pytest.raises(ValueError, match="token table path"):
         build_rule("graceful:")
-    assert "majority" in RULE_NAMES
+    assert ", ".join(RULE_NAMES) == known
+    assert [build_rule(name).name for name in RULE_NAMES[:-1]] == list(RULE_NAMES[:-1])
 
 
 def test_rule_objects_accepted_by_run_rule():

@@ -187,10 +187,22 @@ def test_mms_partition_witness_attains_share():
     # relabelled items, mapped back to this agent's own item order
     matrices += [parse_matrix(text) for text, _ in SHARES_WORKLOAD]
     matrices += small_instances(seed=2718, count=150)
+    # column-shuffled and column-complemented copies take the witness's
+    # columns from the sorted census in another order than their own
     for M in matrices:
-        for i in range(M.n):
-            witness = mms_partition(M, i)
-            assert partition_guarantee(M, i, witness) == mms_adapt(M, i), (M.to_text(), i)
+        cols = list(M.columns())
+        rng.shuffle(cols)
+        shuffled = PreferenceMatrix.from_columns(cols, n_agents=M.n)
+        complemented = PreferenceMatrix.from_columns(
+            [tuple(1 - b for b in col) if rng.random() < 0.5 else col for col in M.columns()],
+            n_agents=M.n,
+        )
+        for X in (M, shuffled, complemented):
+            consensus = {j for j, col in enumerate(X.columns()) if len(set(col)) == 1}
+            for i in range(X.n):
+                witness = mms_partition(X, i)
+                assert partition_guarantee(X, i, witness) == mms_adapt(X, i), (X.to_text(), i)
+                assert consensus <= set(witness.bundles[0]), (X.to_text(), i)
     witness = mms_partition(EXAMPLE_3x9, 1)
     assert partition_guarantee(EXAMPLE_3x9, 1, witness) == 6
 
@@ -248,18 +260,24 @@ def test_n3_bounds_dominate_shares():
 
 
 def test_budget_is_a_hard_error(monkeypatch):
-    # the budget is in both the raw and the relabelled cache key: after a
-    # default-budget call has filled both, a tiny budget must still search,
-    # and fail, for the same agent and for a relabelled view of it
+    # the budget is in the key of the class cache (_search_class) and of
+    # the census memo (_census_bests): after default-budget calls have
+    # filled both, a tiny budget must still search, and fail, for the same
+    # agent, for a relabelled copy of it and for every agent at once
     M = random_matrix(random.Random(2), 4, 8)
     swapped = PreferenceMatrix.from_rows([M.rows[1], M.rows[0], M.rows[2], M.rows[3]])
     assert mms_adapt(M, 0) == mms_adapt(swapped, 1)
+    expected = mms_adapt_all(M)
     monkeypatch.setenv("MMSVOTE_SEARCH_BUDGET", "1")
     for matrix, i in ((M, 0), (swapped, 1)):
         with pytest.raises(SearchBudgetExceeded):
             mms_adapt(matrix, i)
         with pytest.raises(SearchBudgetExceeded):
             mms_partition(matrix, i)
+        with pytest.raises(SearchBudgetExceeded):
+            mms_adapt_all(matrix)
+    monkeypatch.delenv("MMSVOTE_SEARCH_BUDGET")
+    assert mms_adapt_all(M) == expected
 
 
 def test_budget_env_override(monkeypatch):
@@ -295,8 +313,8 @@ def test_share_report_json():
 
 
 def test_mms_adapt_all_matches_per_agent_calls():
-    # mms_adapt_all reads the census memo, mms_adapt one agent's view;
-    # each per-agent call here builds its views on a fresh matrix
+    # mms_adapt_all reads the census memo, mms_adapt searches one agent's
+    # items; each per-agent call here reads the census of a fresh matrix
     rng = random.Random(7321)
     shapes = [(2, 8)] * 60 + [(3, 10)] * 150 + [(4, 8)] * 150 + [(5, 6)] * 40
     shapes += [(6, 5)] * 30 + [(7, 4)] * 30
