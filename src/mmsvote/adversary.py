@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .model import Partition, PreferenceMatrix, parse_matrix, type_census, utility
-from .rules import Rule, RuleTranscript, build_rule
+from .rules import _RULE_FACTORIES, Rule, RuleTranscript, build_rule
 from .shares import _rds_totals, partition_guarantee
 
 __all__ = [
@@ -313,7 +313,18 @@ class ViolationCertificate:
         guarantee, achieved = blob["guarantee"], blob["achieved"]
         if not _is_int(guarantee) or not _is_int(achieved):
             raise CertificateError("guarantee and achieved must be integers")
-        rule_name = str(blob.get("rule", "?"))
+        rule_name = blob.get("rule", "?")
+        if not isinstance(rule_name, str):
+            raise CertificateError(f"rule must be a rule name string, got {rule_name!r}")
+        # only the built-in table is consulted: a graceful:<path> name
+        # would open the file it names
+        factory = _RULE_FACTORIES.get(rule_name)
+        required = factory().required_agents if factory is not None else None
+        if required is not None and required != instance.n:
+            raise CertificateError(
+                f"rule {rule_name!r} needs exactly {required} agents, "
+                f"the instance has {instance.n}"
+            )
         transcript = RuleTranscript.from_outcome(rule_name, instance, outcome)
         return cls(
             rule=rule_name,

@@ -467,10 +467,6 @@ class Partition:
             raise ValueError(f"decisions not covered: {[j + 1 for j in missing]}")
         return cls(bs, n_decisions)
 
-    @property
-    def n_bundles(self) -> int:
-        return len(self.bundles)
-
 
 _BIT_CHARS = frozenset("01")
 

@@ -23,9 +23,10 @@ column and its bitwise negation identically up to relabeling of sides:
 Consensus columns are always decided unanimously and do not consult the
 token table.
 
-Every ``run`` returns a :class:`RuleTranscript` holding the per-decision
-records, final outcome, utilities, and per-type occurrence counters, and
-serializes to JSON so long runs can be checkpointed and replayed.
+Every ``run`` returns a :class:`RuleTranscript` holding the matrix, the
+outcome and the utilities. Its JSON form adds the per-decision records
+and per-type occurrence counters, read off the matrix's type census, so
+a run can be replayed or audited.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .model import (
 from .shares import SearchBudgetExceeded, effective_budget
 
 __all__ = [
-    "DecisionRecord",
     "RuleTranscript",
     "Rule",
     "MajorityRule",
@@ -87,35 +87,14 @@ class InternalInconsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecisionRecord:
-    """One decided column: what was seen and what was chosen."""
-
-    column: tuple[int, ...]
-    type_bits: tuple[int, ...]
-    flipped: bool
-    counter: int
-    bit: int
-
-    def to_dict(self) -> dict:
-        return {
-            "column": "".join(map(str, self.column)),
-            "type": "".join(map(str, self.type_bits)),
-            "flipped": self.flipped,
-            "counter": self.counter,
-            "bit": self.bit,
-        }
-
-
-@dataclass(frozen=True)
 class RuleTranscript:
-    """Full record of a rule run, sufficient to replay or audit it."""
+    """A rule run: the matrix, the outcome, every agent's utility under
+    it and rule-specific details, enough to replay or audit the run."""
 
     rule: str
-    n: int
-    records: tuple[DecisionRecord, ...]
+    matrix: PreferenceMatrix
     outcome: tuple[int, ...]
     utilities: tuple[int, ...]
-    counters: Mapping[CanonicalType, int]
     details: Mapping[str, object] = field(default_factory=dict)
 
     @classmethod
@@ -126,40 +105,44 @@ class RuleTranscript:
         outcome: Sequence[int],
         details: Mapping[str, object] | None = None,
     ) -> "RuleTranscript":
-        """The transcript of ``outcome`` on ``matrix``, read off the type
-        census: the k-th occurrence of a type carries counter k, and the
-        final counters are the census counts. ``outcome`` is checked like
-        ``utility`` checks it, once for all agents."""
+        """The transcript of ``outcome`` on ``matrix``. ``outcome`` is
+        checked like ``utility`` checks it, once for all agents."""
         bits, utilities = _utilities(matrix, outcome)
-        census = type_census(matrix)
-        columns = list(matrix.columns())
-        records: list = [None] * matrix.m
-        for ctype, entry in census.items():
-            for k, (j, flipped) in enumerate(zip(entry.occurrences, entry.flipped)):
-                records[j] = DecisionRecord(columns[j], ctype.bits, flipped, k, bits[j])
-        return cls(
-            rule=rule,
-            n=matrix.n,
-            records=tuple(records),
-            outcome=bits,
-            utilities=utilities,
-            counters={ctype: entry.count for ctype, entry in census.items()},
-            details=details or {},
-        )
+        return cls(rule, matrix, bits, utilities, details or {})
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
 
     @property
     def m(self) -> int:
-        return len(self.outcome)
+        return self.matrix.m
 
     def to_dict(self) -> dict:
+        """The JSON form. Decision j records column j, its canonical type
+        and flip, the number of earlier occurrences of that type (its
+        counter) and the bit decided; the counters are the census counts
+        in order of first occurrence."""
+        census = type_census(self.matrix)
+        columns = list(self.matrix.columns())
+        decisions: list = [None] * self.m
+        for ctype, entry in census.items():
+            for k, (j, flipped) in enumerate(zip(entry.occurrences, entry.flipped)):
+                decisions[j] = {
+                    "column": "".join(map(str, columns[j])),
+                    "type": str(ctype),
+                    "flipped": flipped,
+                    "counter": k,
+                    "bit": self.outcome[j],
+                }
         out: dict = {
             "rule": self.rule,
             "n": self.n,
             "m": self.m,
             "outcome": "".join(map(str, self.outcome)),
             "utilities": list(self.utilities),
-            "counters": {str(t): c for t, c in self.counters.items()},
-            "decisions": [r.to_dict() for r in self.records],
+            "counters": {str(t): e.count for t, e in census.items()},
+            "decisions": decisions,
         }
         if self.details:
             out["details"] = {k: _jsonable(v) for k, v in self.details.items()}
@@ -321,18 +304,17 @@ def _check_tokens(ctype: CanonicalType, tokens: Sequence[str], n: int) -> tuple[
     return tokens
 
 
-def _resolve_token(token: str, ctype: CanonicalType, flipped: bool) -> int:
-    if token == "MAJ":
-        canonical_bit = 1 - ctype.minority_bit
-    elif token == "MIN":
-        canonical_bit = ctype.minority_bit
-    elif token == "CANON":
-        canonical_bit = 0
-    elif token == "ANTI":
-        canonical_bit = 1
-    else:
-        raise GracefulMapError(f"unknown token {token!r}")
-    return canonical_bit ^ int(flipped)
+def _cycle(
+    pattern: Callable[[CanonicalType], Sequence[str]], ctype: CanonicalType, n: int
+) -> tuple[int, ...]:
+    """The canonical bits a graceful rule decides on the successive
+    occurrences of a non-consensus type, one per checked token; a column
+    that arrived flipped takes its bit negated."""
+    tokens = _check_tokens(ctype, pattern(ctype), n)
+    if ctype.kind == "split":
+        minority = ctype.minority_bit
+        return tuple(minority if token == "MIN" else 1 - minority for token in tokens)
+    return tuple(int(token == "ANTI") for token in tokens)
 
 
 @dataclass(frozen=True)
@@ -404,10 +386,6 @@ class GracefulMap:
         except KeyError:
             raise GracefulMapError(f"token table has no entry for type {ctype}") from None
 
-    def to_text(self) -> str:
-        lines = [f"{t} {','.join(tokens)}" for t, tokens in self.table.items()]
-        return "\n".join(lines) + "\n"
-
 
 def standard_pattern(n: int) -> Callable[[CanonicalType], tuple[str, ...]]:
     """Token pattern used by the package's built-in graceful rules.
@@ -432,8 +410,8 @@ class _GracefulStepper(Stepper):
         self.pattern = pattern
         self.n = n
         self.counters: dict[CanonicalType, int] = {}
-        # each type's checked token sequence, looked up on its first occurrence
-        self.tokens: dict[CanonicalType, tuple[str, ...]] = {}
+        # each type's cycle of canonical bits, looked up on its first occurrence
+        self.cycles: dict[CanonicalType, tuple[int, ...]] = {}
 
     def decide(self, column: Sequence[int]) -> int:
         ctype, flipped = canonicalize(column)
@@ -441,10 +419,10 @@ class _GracefulStepper(Stepper):
             return column[0]
         k = self.counters.get(ctype, 0)
         self.counters[ctype] = k + 1
-        tokens = self.tokens.get(ctype)
-        if tokens is None:
-            tokens = self.tokens[ctype] = _check_tokens(ctype, self.pattern(ctype), self.n)
-        return _resolve_token(tokens[k % len(tokens)], ctype, flipped)
+        cycle = self.cycles.get(ctype)
+        if cycle is None:
+            cycle = self.cycles[ctype] = _cycle(self.pattern, ctype, self.n)
+        return cycle[k % len(cycle)] ^ flipped
 
 
 def _graceful_outcome(
@@ -456,7 +434,7 @@ def _graceful_outcome(
     """The outcome a ``_GracefulStepper`` gives on a matrix's columns,
     read off its type census: ``types`` holds each type with its column
     indices and their flips, in order of first occurrence. The k-th
-    occurrence of a type takes token k mod the sequence's length,
+    occurrence of a type takes bit k mod the length of its ``_cycle``,
     flipped with the column. Types are met as the stepper meets them, so
     a bad token table fails on the same type. Columns that no entry
     lists stay 0."""
@@ -466,8 +444,7 @@ def _graceful_outcome(
             for j, flipped in zip(occurrences, flips):
                 outcome[j] = int(flipped)
             continue
-        tokens = _check_tokens(ctype, pattern(ctype), n)
-        cycle = [_resolve_token(token, ctype, False) for token in tokens]
+        cycle = _cycle(pattern, ctype, n)
         period = len(cycle)
         for k, (j, flipped) in enumerate(zip(occurrences, flips)):
             outcome[j] = cycle[k % period] ^ flipped
@@ -720,7 +697,7 @@ def mnw_outcome(matrix: PreferenceMatrix) -> tuple[int, ...]:
         )
 
     n = matrix.n
-    # wins[t][x] = per-agent utility contribution when x of type t's
+    # contrib[t][x] = per-agent utility contribution when x of type t's
     # columns are decided with canonical bit 0
     contrib = []
     for ctype, entry in types:

@@ -329,7 +329,7 @@ def test_certificate_json_round_trip():
     assert back.rule == "majority"
 
 
-def test_certificate_parse_rejections():
+def test_certificate_parse_rejections(tmp_path):
     cert = adaptive_attack("majority", 7)
     blob = cert.to_dict()
 
@@ -371,22 +371,42 @@ def test_certificate_parse_rejections():
     for bad_n in (99, 6, True, "7", 7.0, None):
         with pytest.raises(CertificateError, match="agent count"):
             ViolationCertificate.from_json(broken(n=bad_n))
-    del blob["n"]
-    assert ViolationCertificate.from_json(json.dumps(blob)).instance.n == 7
+    # "rule" is optional too; a name must be a string, and a built-in
+    # rule must fit the instance's agent count
+    for not_a_name in (5, None, [1], True):
+        with pytest.raises(CertificateError, match="rule name string"):
+            ViolationCertificate.from_json(broken(rule=not_a_name))
+    for fixed_size in ("ptrr3", "muffled3", "deferred4"):
+        with pytest.raises(CertificateError, match="needs exactly"):
+            ViolationCertificate.from_json(broken(rule=fixed_size))
+    # a graceful table is never opened, so a missing file is no error
+    absent = tmp_path / "absent.map"
+    for name in ("mnw", "ptrr-generalized", "plurality", f"graceful:{absent}"):
+        cert = ViolationCertificate.from_json(broken(rule=name))
+        assert cert.rule == cert.transcript.rule == name
+        assert check_certificate(cert)
+    del blob["n"], blob["rule"]
+    cert = ViolationCertificate.from_json(json.dumps(blob))
+    assert (cert.instance.n, cert.rule) == (7, "?")
 
 
 def test_attack_transcript_matches_instance():
     cert = adaptive_attack("always-0", 7)
     t = cert.transcript
     assert t.n == 7
-    assert len(t.records) == cert.instance.m
+    assert t.matrix == cert.instance
+    blob = t.to_dict()
+    assert blob["m"] == len(blob["decisions"]) == cert.instance.m
     seen = {}
-    for j, record in enumerate(t.records):
-        assert record.column == cert.instance.column(j)
-        ctype, flipped = canonicalize(record.column)
-        assert record.type_bits == ctype.bits
-        assert record.flipped == flipped
-        assert record.counter == seen.get(ctype, 0)
-        seen[ctype] = record.counter + 1
-    assert dict(t.counters) == seen
-    assert list(t.counters) == list(seen)
+    for j, record in enumerate(blob["decisions"]):
+        column = cert.instance.column(j)
+        assert record["column"] == "".join(map(str, column))
+        ctype, flipped = canonicalize(column)
+        assert record["type"] == "".join(map(str, ctype.bits))
+        assert record["flipped"] is flipped
+        assert record["counter"] == seen.get(ctype, 0)
+        assert record["bit"] == t.outcome[j]
+        seen[ctype] = record["counter"] + 1
+    assert list(blob["counters"].items()) == [
+        ("".join(map(str, c.bits)), k) for c, k in seen.items()
+    ]

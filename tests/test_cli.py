@@ -187,6 +187,14 @@ def test_attack_and_certificate_check(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert "agent count" in err
     del blob["n"]
+    for bad_rule in (5, None, [1], "ptrr3"):
+        blob["rule"] = bad_rule
+        wrong_rule = tmp_path / "wrong_rule.json"
+        wrong_rule.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "verify", "--certificate", str(wrong_rule))
+        assert (code, out) == (2, "")
+        assert "rule" in err
+    del blob["rule"]
     no_n = tmp_path / "no_n.json"
     no_n.write_text(json.dumps(blob))
     code, out, _ = run_cli(capsys, "verify", "--certificate", str(no_n))

@@ -321,7 +321,6 @@ def test_utility_negation_invariance():
 def test_partition_validation():
     P = Partition.of([(0, 2), (1,), ()], n_agents=3, n_decisions=3)
     assert P.bundles == ((0, 2), (1,), ())
-    assert P.n_bundles == 3
     with pytest.raises(ValueError):
         Partition.of([(0,), (0,), ()], n_agents=3, n_decisions=2)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from mmsvote.model import PreferenceMatrix, canonicalize, parse_matrix, type_cen
 from mmsvote.rules import (
     AlwaysMinorityRule,
     ConstantRule,
-    DecisionRecord,
     DeferredAmbiguity4,
     GracefulMap,
     GracefulMapError,
@@ -461,20 +460,36 @@ def test_transcripts_match_per_column_recount():
             n = fixed_agents.get(name, rng.randint(2, 5))
             M = random_matrix(rng, n, rng.randint(0, 8))
             t = run_rule(name, M)
-            counters, records = {}, []
+            counters, decisions = {}, []
             for j, column in enumerate(M.columns()):
                 ctype, flipped = canonicalize(column)
                 k = counters.get(ctype, 0)
                 counters[ctype] = k + 1
-                records.append(DecisionRecord(column, ctype.bits, flipped, k, t.outcome[j]))
-            assert t.records == tuple(records)
-            assert t.counters == counters
-            assert list(t.counters) == list(counters)
+                decisions.append(
+                    {
+                        "column": "".join(map(str, column)),
+                        "type": "".join(map(str, ctype.bits)),
+                        "flipped": flipped,
+                        "counter": k,
+                        "bit": t.outcome[j],
+                    }
+                )
             utilities = tuple(utility(M, t.outcome, i) for i in range(n))
-            expected = RuleTranscript(
-                t.rule, n, tuple(records), t.outcome, utilities, counters, t.details
-            )
-            assert t.to_json() == expected.to_json()
+            assert t == RuleTranscript(name, M, t.outcome, utilities, t.details)
+            assert (t.n, t.m) == (n, M.m)
+            expected = {
+                "rule": name,
+                "n": n,
+                "m": M.m,
+                "outcome": "".join(map(str, t.outcome)),
+                "utilities": list(utilities),
+                "counters": {"".join(map(str, c.bits)): k for c, k in counters.items()},
+                "decisions": decisions,
+            }
+            if t.details:
+                expected["details"] = t.to_dict()["details"]
+            # the JSON text pins key order, the counters' order and bools
+            assert t.to_json() == json.dumps(expected)
 
 
 def test_registry_names_and_flags():

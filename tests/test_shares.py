@@ -384,6 +384,29 @@ def concatenable_pair(draw):
     return matrix(draw(widths)), matrix(draw(widths))
 
 
+@st.composite
+def prefix_walk(draw):
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(0, 8))
+    row = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    return PreferenceMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(M=prefix_walk())
+def test_one_column_raises_each_share_by_zero_or_one(M):
+    # the one-column step: appending a column adds exactly 0 or 1 to
+    # every agent's adaptive share, so a share walk along the prefixes
+    # of a matrix climbs by unit steps
+    before = mms_adapt_all(M.prefix(0))
+    assert before == (0,) * M.n
+    for k in range(1, M.m + 1):
+        after = mms_adapt_all(M.prefix(k))
+        steps = [a - b for a, b in zip(after, before)]
+        assert set(steps) <= {0, 1}, (M.to_text(), k, steps)
+        before = after
+
+
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(pair=concatenable_pair(), bit=st.integers(0, 1))
 def test_mms_metamorphic_consensus_and_concatenation(pair, bit):
