@@ -224,8 +224,25 @@ def gen_named_examples() -> dict[str, PreferenceMatrix]:
 # the adaptive attack
 
 
+class _Transcribed:
+    """A report that stores its rule's name, agent count and instance
+    once, in its transcript."""
+
+    @property
+    def rule(self) -> str:
+        return self.transcript.rule
+
+    @property
+    def n(self) -> int:
+        return self.transcript.n
+
+    @property
+    def instance(self) -> PreferenceMatrix:
+        return self.transcript.matrix
+
+
 @dataclass(frozen=True)
-class ViolationCertificate:
+class ViolationCertificate(_Transcribed):
     """Proof that a rule fell short of an adaptive-share guarantee.
 
     The witness partition certifies ``guarantee <= mms_adapt`` for the
@@ -234,8 +251,6 @@ class ViolationCertificate:
     numbers can be recomputed from the other fields alone.
     """
 
-    rule: str
-    instance: PreferenceMatrix
     transcript: RuleTranscript
     victim: int
     witness: Partition
@@ -245,7 +260,7 @@ class ViolationCertificate:
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
-            "n": self.instance.n,
+            "n": self.n,
             "instance": self.instance.to_text(),
             "decisions": "".join(map(str, self.transcript.outcome)),
             "victim": self.victim + 1,
@@ -325,11 +340,8 @@ class ViolationCertificate:
                 f"rule {rule_name!r} needs exactly {required} agents, "
                 f"the instance has {instance.n}"
             )
-        transcript = RuleTranscript.from_outcome(rule_name, instance, outcome)
         return cls(
-            rule=rule_name,
-            instance=instance,
-            transcript=transcript,
+            transcript=RuleTranscript.from_outcome(rule_name, instance, outcome),
             victim=victim - 1,
             witness=witness,
             guarantee=guarantee,
@@ -347,7 +359,7 @@ def _is_int(value: object) -> bool:
 
 
 @dataclass(frozen=True)
-class AttackExhausted:
+class AttackExhausted(_Transcribed):
     """The full script ran without producing a certificate.
 
     The staged argument guarantees a violation for every online rule at
@@ -355,9 +367,6 @@ class AttackExhausted:
     rather than a surviving rule; it carries the evidence for debugging.
     """
 
-    rule: str
-    n: int
-    instance: PreferenceMatrix
     transcript: RuleTranscript
     reason: str
 
@@ -475,8 +484,6 @@ class _AttackDriver:
                 guarantee = partition_guarantee(matrix, i, partition)
                 if achieved < guarantee:
                     raise _Certified(ViolationCertificate(
-                        rule=self.rule.name,
-                        instance=matrix,
                         transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
                         victim=i,
                         witness=partition,
@@ -494,9 +501,6 @@ class _AttackDriver:
         except _ScriptStop as stop:
             matrix = PreferenceMatrix.from_columns(self.columns, n_agents=self.n)
             return AttackExhausted(
-                rule=self.rule.name,
-                n=self.n,
-                instance=matrix,
                 transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
                 reason=str(stop),
             )

@@ -110,8 +110,8 @@ class PreferenceMatrix:
         object.__setattr__(self, "rows", tuple(clean))
 
     def __getstate__(self) -> dict:
-        # the cached type census is not serialized; it is rebuilt on
-        # demand
+        # the cached type census and the last outcome's utilities are not
+        # serialized; they are rebuilt on demand
         return {"rows": self.rows}
 
     @classmethod
@@ -207,10 +207,11 @@ class CanonicalType:
     the popcount when the type is made: "consensus" (all zeros), "split"
     (a strict majority exists), or "tie" (both sides equal, only possible
     for even n). It takes no part in equality or hashing. The hash is the
-    dataclass's ``hash((bits,))``; it and the minority side are computed
-    once when the type is made, since census builds and rule runs look
-    types up in dicts many times and ``_canonical`` shares one type
-    among all equal columns. Neither goes into pickles.
+    dataclass's ``hash((bits,))``; it, the minority side and the bitmask
+    of the bits (bit a for agent a) are computed once when the type is
+    made, since census builds, rule runs and share queries read them
+    often and ``_canonical`` shares one type among all equal columns.
+    None of them goes into pickles.
     """
 
     bits: tuple[int, ...]
@@ -263,13 +264,14 @@ class CanonicalType:
 
 def _fill(ctype: CanonicalType, bits: tuple[int, ...]) -> None:
     """Set a type's bits and everything derived from them: the kind, the
-    minority bit (read only on split types) and the hash."""
+    minority bit (read only on split types), the bitmask and the hash."""
     ones = sum(bits)
     n = len(bits)
     kind = "consensus" if ones == 0 else "tie" if 2 * ones == n else "split"
     object.__setattr__(ctype, "bits", bits)
     object.__setattr__(ctype, "kind", kind)
     object.__setattr__(ctype, "_minority_bit", 1 if 2 * ones < n else 0)
+    object.__setattr__(ctype, "_mask", sum(b << a for a, b in enumerate(bits)))
     object.__setattr__(ctype, "_hash", hash((bits,)))
 
 
@@ -423,13 +425,31 @@ def _outcome_bits(matrix: PreferenceMatrix, outcome: Sequence[int]) -> tuple[int
     return bits
 
 
+def _agreements(matrix: PreferenceMatrix, outcome: Sequence[int]) -> tuple[int, ...]:
+    """Every agent's agreement count with ``outcome``, unchecked."""
+    return tuple(sum(map(eq, row, outcome)) for row in matrix.rows)
+
+
+def _remember(matrix: PreferenceMatrix, bits: tuple, utilities: tuple) -> tuple[tuple, tuple]:
+    """Keep ``bits``, an outcome the package checked or made itself, and
+    its ``utilities`` on the matrix for ``_utilities``; returns both."""
+    object.__setattr__(matrix, "_last_outcome", (bits, utilities))
+    return bits, utilities
+
+
 def _utilities(
     matrix: PreferenceMatrix, outcome: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Check ``outcome`` once and return it as bits, together with every
-    agent's utility under it."""
+    agent's utility under it; both are remembered on the matrix. When
+    ``outcome`` is the very tuple remembered last, both are read back.
+    Identity decides, not equality: ``(1.0, 0)`` and ``(True, 0)`` equal
+    ``(1, 0)`` but must still be checked."""
+    last = matrix.__dict__.get("_last_outcome")
+    if last is not None and last[0] is outcome:
+        return last
     bits = _outcome_bits(matrix, outcome)
-    return bits, tuple(sum(map(eq, row, bits)) for row in matrix.rows)
+    return _remember(matrix, bits, _agreements(matrix, bits))
 
 
 @dataclass(frozen=True)
@@ -469,6 +489,8 @@ class Partition:
 
 
 _BIT_CHARS = frozenset("01")
+# a checked row's characters as the bytes 0 and 1, which tuple() reads as ints
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def parse_matrix(text: str) -> PreferenceMatrix:
@@ -503,7 +525,7 @@ def parse_matrix(text: str) -> PreferenceMatrix:
         if not _BIT_CHARS.issuperset(raw):
             j, ch = next((j, ch) for j, ch in enumerate(raw) if ch not in _BIT_CHARS)
             raise ParseError(f"invalid character {ch!r} in row {i}", line=i + 1, column=j + 1)
-        rows.append(tuple(map(int, raw)))
+        rows.append(tuple(raw.encode().translate(_BIT_VALUES)))
     return PreferenceMatrix._trusted(tuple(rows))
 
 
@@ -526,7 +548,7 @@ def _parse_json_matrix(text: str) -> PreferenceMatrix:
     for i, raw in enumerate(rows, start=1):
         if not isinstance(raw, str) or len(raw) != m or not _BIT_CHARS.issuperset(raw):
             raise ParseError(f"row {i} must be a string of {m} bits")
-        parsed.append(tuple(map(int, raw)))
+        parsed.append(tuple(raw.encode().translate(_BIT_VALUES)))
     return PreferenceMatrix._trusted(tuple(parsed))
 
 

@@ -26,7 +26,9 @@ token table.
 Every ``run`` returns a :class:`RuleTranscript` holding the matrix, the
 outcome and the utilities. Its JSON form adds the per-decision records
 and per-type occurrence counters, read off the matrix's type census, so
-a run can be replayed or audited.
+a run can be replayed or audited. The graceful rules and ``deferred4``
+count the utilities once, in the run, and leave them on the matrix for
+``audit``; other outcomes are checked by ``RuleTranscript.from_outcome``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import eq
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     CanonicalType,
     PreferenceMatrix,
+    _agreements,
+    _remember,
     _utilities,
     canonicalize,
     n4_counts,
@@ -106,7 +110,8 @@ class RuleTranscript:
         details: Mapping[str, object] | None = None,
     ) -> "RuleTranscript":
         """The transcript of ``outcome`` on ``matrix``. ``outcome`` is
-        checked like ``utility`` checks it, once for all agents."""
+        checked like ``utility`` checks it, once for all agents, unless it
+        is the very tuple a rule run left on the matrix (``_utilities``)."""
         bits, utilities = _utilities(matrix, outcome)
         return cls(rule, matrix, bits, utilities, details or {})
 
@@ -193,12 +198,8 @@ class Rule:
             step = self.stepper(matrix.n, matrix.m)
         else:
             step = self.stepper(matrix.n)
-        outcome = []
-        for column in matrix.columns():
-            bit = step.decide(column)
-            if bit not in (0, 1):
-                raise ValueError(f"rule produced non-bit decision {bit!r}")
-            outcome.append(bit)
+        # from_outcome rejects a decision that is not a bit
+        outcome = [step.decide(column) for column in matrix.columns()]
         return RuleTranscript.from_outcome(self.name, matrix, outcome, step.details())
 
 
@@ -304,13 +305,13 @@ def _check_tokens(ctype: CanonicalType, tokens: Sequence[str], n: int) -> tuple[
     return tokens
 
 
-def _cycle(
-    pattern: Callable[[CanonicalType], Sequence[str]], ctype: CanonicalType, n: int
-) -> tuple[int, ...]:
+@lru_cache(maxsize=4096)
+def _cycle(tokens: tuple[str, ...], ctype: CanonicalType, n: int) -> tuple[int, ...]:
     """The canonical bits a graceful rule decides on the successive
     occurrences of a non-consensus type, one per checked token; a column
-    that arrived flipped takes its bit negated."""
-    tokens = _check_tokens(ctype, pattern(ctype), n)
+    that arrived flipped takes its bit negated. Callers ask the pattern
+    for ``tokens`` on every type, so a table's missing type always fails."""
+    tokens = _check_tokens(ctype, tokens, n)
     if ctype.kind == "split":
         minority = ctype.minority_bit
         return tuple(minority if token == "MIN" else 1 - minority for token in tokens)
@@ -410,8 +411,6 @@ class _GracefulStepper(Stepper):
         self.pattern = pattern
         self.n = n
         self.counters: dict[CanonicalType, int] = {}
-        # each type's cycle of canonical bits, looked up on its first occurrence
-        self.cycles: dict[CanonicalType, tuple[int, ...]] = {}
 
     def decide(self, column: Sequence[int]) -> int:
         ctype, flipped = canonicalize(column)
@@ -419,9 +418,7 @@ class _GracefulStepper(Stepper):
             return column[0]
         k = self.counters.get(ctype, 0)
         self.counters[ctype] = k + 1
-        cycle = self.cycles.get(ctype)
-        if cycle is None:
-            cycle = self.cycles[ctype] = _cycle(self.pattern, ctype, self.n)
+        cycle = _cycle(tuple(self.pattern(ctype)), ctype, self.n)
         return cycle[k % len(cycle)] ^ flipped
 
 
@@ -444,7 +441,7 @@ def _graceful_outcome(
             for j, flipped in zip(occurrences, flips):
                 outcome[j] = int(flipped)
             continue
-        cycle = _cycle(pattern, ctype, n)
+        cycle = _cycle(tuple(pattern(ctype)), ctype, n)
         period = len(cycle)
         for k, (j, flipped) in enumerate(zip(occurrences, flips)):
             outcome[j] = cycle[k % period] ^ flipped
@@ -480,8 +477,9 @@ class GracefulRule(Rule):
     def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
         self.check_matrix(matrix)
         types = ((t, e.occurrences, e.flipped) for t, e in type_census(matrix).items())
-        outcome = _graceful_outcome(self.pattern, matrix.n, matrix.m, types)
-        return RuleTranscript.from_outcome(self.name, matrix, outcome)
+        bits = tuple(_graceful_outcome(self.pattern, matrix.n, matrix.m, types))
+        utilities = _agreements(matrix, bits)
+        return RuleTranscript(self.name, matrix, *_remember(matrix, bits, utilities))
 
 
 def _ptrr3() -> GracefulRule:
@@ -585,30 +583,39 @@ def deferred_ambiguity(
     disagreeing on every removed column is served by the lowest-numbered
     agent outside the pair; with no threshold agent at all, agent 1
     takes them. Returns ``(outcome, removed column indices, compensated
-    agent, thresholds)``, all relative to the original column order.
+    agent, thresholds)``, all relative to the original column order. The
+    outcome tuple and its utilities are left on the matrix, as a run's are.
     """
     if matrix.n != 4:
         raise ValueError("the deferral rule is defined for 4 agents")
     # The reduced instance is read off the full census: the k-th kept
     # occurrence of a type is its k-th occurrence in the reduced matrix,
-    # and an odd tie type keeps all but its last.
+    # and an odd tie type keeps all but its last. The same walk takes
+    # the n4_counts the thresholds need, with the tie counts summed.
+    solo = [0, 0, 0, 0]
+    ties = consensus = 0
     removed = []
     kept = []
     for ctype, entry in type_census(matrix).items():
         occurrences, flips = entry.occurrences, entry.flipped
-        if ctype.kind == "tie" and entry.count % 2 == 1:
-            removed.append(occurrences[-1])
-            occurrences, flips = occurrences[:-1], flips[:-1]
+        if ctype.kind == "consensus":
+            consensus += entry.count
+        elif ctype.kind == "split":
+            solo[ctype.bits.index(ctype.minority_bit)] += entry.count
+        else:
+            ties += entry.count
+            if entry.count % 2 == 1:
+                removed.append(occurrences[-1])
+                occurrences, flips = occurrences[:-1], flips[:-1]
         kept.append((ctype, occurrences, flips))
     removed.sort()
     outcome = _graceful_outcome(standard_pattern(4), 4, matrix.m, kept)
     # -1 agrees with no agent, so the utilities count the kept columns only
     for j in removed:
         outcome[j] = -1
-    utilities = tuple(sum(map(eq, row, outcome)) for row in matrix.rows)
+    utilities = _agreements(matrix, outcome)
     # thresholds and utilities are compared in quarters, as integers
-    solo, ties, consensus = n4_counts(matrix)
-    eta4 = _eta_quarters(solo, sum(ties) - len(removed), consensus)
+    eta4 = _eta_quarters(solo, ties - len(removed), consensus)
     eta = tuple(Fraction(q, 4) for q in eta4)
     short = [i for i in range(4) if 4 * utilities[i] < eta4[i]]
     if len(short) > 1:
@@ -616,6 +623,7 @@ def deferred_ambiguity(
             f"agents {[i + 1 for i in short]} all below threshold: "
             f"utilities {utilities}, thresholds {tuple(map(str, eta))}"
         )
+    rows = matrix.rows
     if short:
         i_star = short[0]
     else:
@@ -628,18 +636,20 @@ def deferred_ambiguity(
         if (
             len(at_threshold) == 2
             and len(removed) == 2
-            and all(
-                matrix.rows[at_threshold[0]][j] != matrix.rows[at_threshold[1]][j]
-                for j in removed
-            )
+            and all(rows[at_threshold[0]][j] != rows[at_threshold[1]][j] for j in removed)
         ):
             # Two threshold agents on opposite sides of both removed
             # columns cannot both be served by either of them, while any
             # other agent sides with each of them exactly once.
             i_star = min(i for i in range(4) if i not in at_threshold)
+    served = rows[i_star]
     for j in removed:
-        outcome[j] = matrix.rows[i_star][j]
-    return tuple(outcome), tuple(removed), i_star, eta
+        outcome[j] = served[j]
+    # each agent gains the removed columns on which they side with i_star
+    utilities = tuple(
+        u + sum(row[j] == served[j] for j in removed) for u, row in zip(utilities, rows)
+    )
+    return _remember(matrix, tuple(outcome), utilities)[0], tuple(removed), i_star, eta
 
 
 class DeferredAmbiguity4(Rule):
@@ -658,6 +668,8 @@ class DeferredAmbiguity4(Rule):
             "compensated_agent": i_star + 1,
             "thresholds": eta,
         }
+        # the outcome is the tuple deferred_ambiguity remembered, so its
+        # utilities are read back, not counted again
         return RuleTranscript.from_outcome(self.name, matrix, outcome, details)
 
 

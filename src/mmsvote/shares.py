@@ -36,7 +36,8 @@ results: the class cache of those searches, which ``mms_adapt`` and
 ``mms_partition`` read for one agent, and ``mms_adapt_all``'s memo of
 every agent's share, less the consensus columns, on the sorted census,
 so matrices equal up to column order and orientation cost one lookup.
-The matrix itself caches only its type census.
+The matrix itself caches no share; it holds only its type census and
+the utilities of the last outcome a rule or an audit counted on it.
 """
 
 from __future__ import annotations
@@ -151,37 +152,35 @@ def uniform_bound(matrix: PreferenceMatrix, i: int) -> int:
     return _rds_totals(matrix)[i] // matrix.n
 
 
-def _census(matrix: PreferenceMatrix) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+def _census(matrix: PreferenceMatrix) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
     """The consensus count and the non-consensus types of the matrix's
-    census as ``(bits, count)`` pairs sorted by bits: the agreement
-    structure the shares depend on, whatever the column order and
-    orientation."""
+    census as ``(bits, count, ones)`` triples sorted by bits, where
+    ``ones`` is the bitmask of the agents whose canonical bit is 1: the
+    agreement structure the shares depend on, whatever the column order
+    and orientation."""
     consensus = 0
     types = []
     for ctype, entry in type_census(matrix).items():
         if ctype.kind == "consensus":
             consensus += entry.count
         else:
-            types.append((ctype.bits, entry.count))
+            types.append((ctype.bits, entry.count, ctype._mask))
     types.sort()
     return consensus, tuple(types)
 
 
 def _agent_items(
-    n: int, types: Sequence[tuple[tuple[int, ...], int]], i: int
+    n: int, types: Sequence[tuple[tuple, int, int]], i: int
 ) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
-    """Agent i's solver items for non-consensus types given as ``(bits,
-    count)`` pairs: ``(count, mask)`` per agreement mask (the agents on
-    agent i's side of a type), by descending count, then by mask; and for
-    each item the indices of the types it groups. Types with equal masks
-    are indistinguishable to every agreement term of the agent's game."""
+    """Agent i's solver items for non-consensus types given as ``_census``
+    triples: ``(count, mask)`` per agreement mask (the agents on agent
+    i's side of a type), by descending count, then by mask; and for each
+    item the indices of the types it groups. Types with equal masks are
+    indistinguishable to every agreement term of the agent's game."""
     everyone = (1 << n) - 1
     counts: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
-    for t, (bits, count) in enumerate(types):
-        ones = 0
-        for a, b in enumerate(bits):
-            ones |= b << a
+    for t, (bits, count, ones) in enumerate(types):
         mask = ones if bits[i] else everyone ^ ones
         counts[mask] = counts.get(mask, 0) + count
         groups.setdefault(mask, []).append(t)
@@ -265,7 +264,7 @@ def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=65536)
-def _census_bests(n: int, types: tuple[tuple[tuple[int, ...], int], ...], budget: int):
+def _census_bests(n: int, types: tuple[tuple[tuple, int, int], ...], budget: int):
     """Every agent's share, less the consensus columns, for the sorted
     non-consensus census ``types``. Each agent's items go through the
     cached search of their relabelled class."""

@@ -46,6 +46,11 @@ def _ratio_text(value: Fraction | None) -> str:
     return "inf" if value is None else str(value)
 
 
+def _check_share(share: str) -> None:
+    if share not in ("adapt", "egal"):
+        raise ValueError(f"share must be 'adapt' or 'egal', got {share!r}")
+
+
 def _exact_threshold(threshold: Fraction | int) -> None:
     # 0.8 is 3602879701896397/4503599627370496, so a float cannot state a
     # ratio such as 4/5 and would decide pass/fail on its binary rounding
@@ -63,22 +68,34 @@ class AuditReport:
     ``ratios[i]`` is utility over adaptive share (None when the share is
     zero); ``alpha_adapt`` is the minimum of the defined ratios, or None
     when all are vacuous. The egalitarian side divides by floor(m/2)
-    for every agent. ``satisfies`` answers threshold queries exactly.
+    for every agent. The ratio tuples are built when read; ``satisfies``
+    answers threshold queries exactly.
     """
 
     n: int
     m: int
     utilities: tuple[int, ...]
     mms_adapt: tuple[int, ...]
-    ratios: tuple[Fraction | None, ...]
     alpha_adapt: Fraction | None
     egal_share: int
-    egal_ratios: tuple[Fraction | None, ...]
     alpha_egal: Fraction | None
 
+    @property
+    def ratios(self) -> tuple[Fraction | None, ...]:
+        return tuple(
+            None if s == 0 else Fraction(u, s) for u, s in zip(self.utilities, self.mms_adapt)
+        )
+
+    @property
+    def egal_ratios(self) -> tuple[Fraction | None, ...]:
+        egal = self.egal_share
+        return tuple(None if egal == 0 else Fraction(u, egal) for u in self.utilities)
+
     def satisfies(self, threshold: Fraction | int, *, share: str = "adapt") -> bool:
-        """Whether the chosen alpha reaches ``threshold`` (an int or a
+        """Whether the alpha of ``share`` ("adapt" or "egal", anything
+        else raises ValueError) reaches ``threshold`` (an int or a
         Fraction; a float raises ValueError)."""
+        _check_share(share)
         _exact_threshold(threshold)
         alpha = self.alpha_adapt if share == "adapt" else self.alpha_egal
         return alpha is None or alpha >= threshold
@@ -107,41 +124,32 @@ class AuditReport:
 
 
 def audit(matrix: PreferenceMatrix, outcome: Sequence[int]) -> AuditReport:
-    """Measure how far an outcome falls short of the share guarantees."""
+    """Measure how far an outcome falls short of the share guarantees.
+    A rule run's very ``outcome`` tuple reuses the utilities the run
+    counted on this matrix; any other outcome is checked and counted."""
     _, utilities = _utilities(matrix, outcome)
     shares = mms_adapt_all(matrix)
-    ratios = tuple(
-        None if s == 0 else Fraction(u, s) for u, s in zip(utilities, shares)
-    )
     egal = mms_egal(matrix.m)
-    egal_ratios = tuple(
-        None if egal == 0 else Fraction(u, egal) for u in utilities
-    )
     return AuditReport(
         n=matrix.n,
         m=matrix.m,
         utilities=utilities,
         mms_adapt=shares,
-        ratios=ratios,
-        alpha_adapt=_lowest_ratio(utilities, shares, ratios),
+        alpha_adapt=_lowest_ratio(utilities, shares),
         egal_share=egal,
-        egal_ratios=egal_ratios,
-        alpha_egal=_lowest_ratio(utilities, (egal,) * matrix.n, egal_ratios),
+        alpha_egal=_lowest_ratio(utilities, (egal,) * matrix.n),
     )
 
 
-def _lowest_ratio(
-    utilities: Sequence[int], shares: Sequence[int], ratios: Sequence[Fraction | None]
-) -> Fraction | None:
-    """The entry of ``ratios`` (``utilities[k] / shares[k]``, None where
-    the share is zero) with the lowest value, found by comparing
-    ``u * s'`` with ``u' * s`` in integers; None when every share is
-    zero."""
+def _lowest_ratio(utilities: Sequence[int], shares: Sequence[int]) -> Fraction | None:
+    """The lowest ``utilities[k] / shares[k]`` over the nonzero shares,
+    found by comparing ``u * s'`` with ``u' * s`` in integers, so only
+    that one Fraction is built; None when every share is zero."""
     low = None
     for k, (u, s) in enumerate(zip(utilities, shares)):
         if s and (low is None or u * shares[low] < utilities[low] * s):
             low = k
-    return None if low is None else ratios[low]
+    return None if low is None else Fraction(utilities[low], shares[low])
 
 
 def check_certificate(cert: ViolationCertificate) -> bool:
@@ -270,8 +278,7 @@ def exhaustive_check(
         raise ValueError(
             f"rule {rule.name!r} is fixed to {rule.required_agents} agents"
         )
-    if share not in ("adapt", "egal"):
-        raise ValueError(f"share must be 'adapt' or 'egal', got {share!r}")
+    _check_share(share)
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
     if m_max < 1:

@@ -603,3 +603,63 @@ def test_outcome_consumers_read_bools_as_bits():
     assert t.outcome == (1, 0) and t.to_dict()["outcome"] == "10"
     assert t.utilities == tuple(utility(M, (1, 0), i) for i in range(3)) == (2, 1, 1)
     assert nash_welfare(M, (True, 0)) == nash_welfare(M, (1, 0)) == 2
+
+
+def test_sweep_ops_count_each_fact_once(monkeypatch):
+    # a parse -> run -> audit op makes one full pass over the rows for the
+    # utilities, deferred4 takes its counts from its own census walk, and
+    # every (tokens, type) cycle is resolved once
+    from mmsvote import model, rules
+    from mmsvote.verify import audit
+
+    calls = {"agreements": 0, "n4_counts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    agreements = counted("agreements", model._agreements)
+    n4 = counted("n4_counts", model.n4_counts)
+    for module in (model, rules):
+        monkeypatch.setattr(module, "_agreements", agreements)
+        monkeypatch.setattr(module, "n4_counts", n4)
+    rules._cycle.cache_clear()
+    rng = random.Random(4242)
+    pairs = set()
+    for name, n in (("ptrr3", 3), ("deferred4", 4)) * 60:
+        matrix = random_matrix(rng, n, rng.randint(1, 10))
+        before = calls["agreements"]
+        parsed = parse_matrix(matrix.to_text())
+        outcome = run_rule(name, parsed).outcome
+        report = audit(parsed, outcome)
+        assert calls["agreements"] == before + 1
+        assert report.utilities == tuple(utility(matrix, outcome, i) for i in range(n))
+        pattern = standard_pattern(n)
+        pairs.update(
+            (pattern(ctype), ctype) for ctype in type_census(matrix) if ctype.kind != "consensus"
+        )
+    assert calls["n4_counts"] == 0
+    assert 0 < rules._cycle.cache_info().misses <= len(pairs)
+
+
+def test_graceful_map_gap_fails_alike_with_warm_cycles():
+    # the token table is asked for every type on every run, so a
+    # memoized cycle never hides a type the table lacks
+    from mmsvote import rules
+
+    gmap = GracefulMap.parse("011 MAJ,MAJ,MIN\n")
+    matrix = PreferenceMatrix.from_columns([(0, 1, 1), (1, 0, 0), (0, 0, 1)])
+    rules._cycle.cache_clear()
+    with pytest.raises(GracefulMapError) as cold:
+        GracefulRule.from_map(gmap).run(matrix)
+    run_rule("ptrr3", matrix)
+    assert rules._cycle.cache_info().currsize >= 2
+    for _ in range(2):
+        with pytest.raises(GracefulMapError) as warm:
+            GracefulRule.from_map(gmap).run(matrix)
+        assert str(warm.value) == str(cold.value) == "token table has no entry for type 001"
+        with pytest.raises(GracefulMapError) as stepped:
+            stepper_outcome(GracefulRule.from_map(gmap), matrix)
+        assert str(stepped.value) == str(cold.value)

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from mmsvote.adversary import (
     gen_named_examples,
 )
 from mmsvote.model import Partition, PreferenceMatrix
-from mmsvote.rules import run_rule
+from mmsvote.rules import RULE_NAMES, build_rule, run_rule
 from mmsvote.shares import mms_adapt_all, mms_egal, partition_guarantee
 from mmsvote.verify import (
     THRESHOLDS,
@@ -78,7 +79,7 @@ def test_lowest_ratio_matches_fraction_min():
     for utilities, shares in cases:
         ratios = tuple(None if s == 0 else Fraction(u, s) for u, s in zip(utilities, shares))
         defined = [r for r in ratios if r is not None]
-        low = _lowest_ratio(utilities, shares, ratios)
+        low = _lowest_ratio(utilities, shares)
         assert low == (min(defined) if defined else None)
         assert low is None or isinstance(low, Fraction)
     for _ in range(200):
@@ -122,8 +123,6 @@ def test_check_certificate_consensus_no_violation():
     bundles = [list(range(5))] + [[] for _ in range(6)]
     witness = Partition.of(bundles, n_agents=7, n_decisions=5)
     cert = ViolationCertificate(
-        rule="majority",
-        instance=matrix,
         transcript=transcript,
         victim=0,
         witness=witness,
@@ -342,3 +341,79 @@ def test_audit_rejects_bad_outcomes(rows, outcome):
 def test_audit_reads_bools_as_bits():
     M = PreferenceMatrix.from_rows([(1, 0), (0, 0), (1, 1)])
     assert audit(M, (True, 0)) == audit(M, (1, 0))
+
+
+def test_satisfies_rejects_unknown_share():
+    # every share name but "adapt" used to be read as "egal"
+    matrix = PreferenceMatrix.from_rows([(0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 1, 1, 0, 1, 0)])
+    report = audit(matrix, run_rule("majority", matrix).outcome)
+    assert (report.alpha_adapt, report.alpha_egal) == (Fraction(3, 4), 1)
+    assert not report.satisfies(1) and report.satisfies(1, share="egal")
+    for share in ("adpat", "EGAL", ""):
+        with pytest.raises(ValueError, match="share must be 'adapt' or 'egal'"):
+            report.satisfies(1, share=share)
+
+
+def _naive_audit_dict(matrix, outcome, shares):
+    """The JSON form of an audit, recounted column by column with one
+    Fraction per ratio and ``min`` over the defined ones."""
+    n, m = matrix.n, matrix.m
+    utilities = [sum(1 for j in range(m) if matrix.rows[i][j] == outcome[j]) for i in range(n)]
+    egal = m // 2
+
+    def side(denominators):
+        ratios = [None if s == 0 else Fraction(u, s) for u, s in zip(utilities, denominators)]
+        defined = [r for r in ratios if r is not None]
+        alpha = min(defined) if defined else None
+        flags = {("inf" if t is None else str(t)): alpha is None or alpha >= t for t in THRESHOLDS}
+        return ["inf" if r is None else str(r) for r in ratios], ("inf" if alpha is None else str(alpha)), flags
+
+    ratios, alpha, flags = side(shares)
+    egal_ratios, alpha_egal, egal_flags = side([egal] * n)
+    return {
+        "n": n, "m": m, "utilities": utilities, "mms_adapt": list(shares),
+        "ratios": ratios, "alpha_adapt": alpha, "mms_egal": egal,
+        "egal_ratios": egal_ratios, "alpha_egal": alpha_egal,
+        "thresholds": {"adapt": flags, "egal": egal_flags},
+    }
+
+
+def test_audit_matches_naive_recount_for_every_builtin_rule():
+    from oracles import naive_mms_adapt
+
+    rng = random.Random(2121)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            matrix = random_matrix(rng, n, rng.randint(1, 5 if n == 4 else 6))
+            shares = [naive_mms_adapt(matrix, i) for i in range(n)]
+            for name in RULE_NAMES[:-1]:
+                rule = build_rule(name)
+                if rule.required_agents not in (None, n):
+                    continue
+                outcome = rule.run(matrix).outcome
+                assert audit(matrix, outcome).to_dict() == _naive_audit_dict(matrix, outcome, shares)
+
+
+def test_audit_reuses_run_utilities_only_for_the_run_outcome():
+    # after a run, every other outcome is checked and counted as on a
+    # matrix that never saw the run
+    rng = random.Random(77)
+    for name, n in (("ptrr3", 3), ("deferred4", 4), ("majority", 3), ("mnw", 4), ("muffled3", 3)):
+        for _ in range(25):
+            rows = random_matrix(rng, n, rng.randint(1, 8)).rows
+            matrix = PreferenceMatrix(rows)
+            outcome = run_rule(name, matrix).outcome
+            expected = audit(PreferenceMatrix(rows), outcome)
+            assert audit(matrix, outcome) == expected
+            for same in (list(outcome), tuple(list(outcome)), tuple(bool(b) for b in outcome)):
+                run_rule(name, matrix)
+                assert audit(matrix, same) == expected
+            flipped = tuple(1 - b for b in outcome)
+            run_rule(name, matrix)
+            assert audit(matrix, flipped) == audit(PreferenceMatrix(rows), flipped)
+            run_rule(name, matrix)
+            with pytest.raises(ValueError):
+                audit(matrix, tuple(float(b) for b in outcome))
+            restored = pickle.loads(pickle.dumps(matrix))
+            assert vars(restored) == {"rows": rows}
+            assert audit(restored, outcome) == expected
