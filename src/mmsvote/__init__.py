@@ -12,7 +12,6 @@ from mmsvote.model import (
     ParseError,
     Partition,
     PreferenceMatrix,
-    agreement,
     canonicalize,
     parse_matrix,
     type_census,
@@ -26,7 +25,6 @@ __all__ = [
     "ParseError",
     "Partition",
     "PreferenceMatrix",
-    "agreement",
     "canonicalize",
     "parse_matrix",
     "type_census",

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import Partition, PreferenceMatrix, parse_matrix, type_census, utility
+from .model import Partition, PreferenceMatrix, _utilities, parse_matrix, type_census
 from .rules import _RULE_FACTORIES, Rule, RuleTranscript, build_rule
 from .shares import _rds_totals, partition_guarantee
 
@@ -476,15 +476,15 @@ class _AttackDriver:
         # average over all permutations, RDS_i, so an agent whose utility
         # reaches floor(RDS_i) cannot be violated and its checks are skipped
         totals = _rds_totals(matrix)
-        for i in range(self.n):
-            achieved = utility(matrix, self.bits, i)
+        bits, utilities = _utilities(matrix, self.bits)
+        for i, achieved in enumerate(utilities):
             if achieved >= totals[i] // self.n:
                 continue
             for partition in witnesses:
                 guarantee = partition_guarantee(matrix, i, partition)
                 if achieved < guarantee:
                     raise _Certified(ViolationCertificate(
-                        transcript=RuleTranscript.from_outcome(self.rule.name, matrix, self.bits),
+                        transcript=RuleTranscript.from_outcome(self.rule.name, matrix, bits),
                         victim=i,
                         witness=partition,
                         guarantee=guarantee,

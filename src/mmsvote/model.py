@@ -4,8 +4,8 @@ An instance is an n x m binary matrix: row i holds agent i's preferred
 alternative for each of m sequential yes/no decisions. Everything else in
 the package (share computations, decision rules, adversaries, audits) is
 built on the small vocabulary defined here: matrices, decision columns,
-canonical column types, partitions of the decision set, and agreement
-counts between bit vectors.
+canonical column types, partitions of the decision set, and the agents'
+utilities under an outcome.
 
 Conventions
 -----------
@@ -44,8 +44,6 @@ __all__ = [
     "canonicalize",
     "type_census",
     "n3_counts",
-    "n4_counts",
-    "agreement",
     "utility",
     "parse_matrix",
     "parse_outcome",
@@ -251,13 +249,6 @@ class CanonicalType:
         b = self.minority_bit
         return tuple(i for i, x in enumerate(self.bits) if x == b)
 
-    @property
-    def sides(self) -> tuple[tuple[int, ...], ...]:
-        """Both sides of the column, the first agent's side first."""
-        zeros = tuple(i for i, x in enumerate(self.bits) if x == 0)
-        ones = tuple(i for i, x in enumerate(self.bits) if x == 1)
-        return (zeros, ones)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -358,55 +349,6 @@ def n3_counts(matrix: PreferenceMatrix) -> tuple[tuple[int, int, int], int]:
         else:
             solo[ctype.minority[0]] += entry.count
     return (solo[0], solo[1], solo[2]), consensus
-
-
-def n4_counts(matrix: PreferenceMatrix) -> tuple[tuple[int, int, int, int], tuple[int, int, int], int]:
-    """Type counts for a 4-agent instance.
-
-    Returns ``(solo, ties, consensus)``:
-
-    * ``solo[i]``: decisions where agent i alone is in the minority,
-    * ``ties[j - 1]`` for j in {1, 2, 3}: tie decisions pairing the first
-      agent with agent j + 1 (0-based: ties[0] pairs agents 0 and 1),
-    * ``consensus``: unanimous decisions.
-
-    A 2-2 tie always puts the first agent on one side, so the three tie
-    counts are indexed by the first agent's partner.
-    """
-    if matrix.n != 4:
-        raise ValueError(f"n4_counts needs n=4, got n={matrix.n}")
-    solo = [0, 0, 0, 0]
-    ties = [0, 0, 0]
-    consensus = 0
-    for ctype, entry in type_census(matrix).items():
-        if ctype.kind == "consensus":
-            consensus += entry.count
-        elif ctype.kind == "split":
-            solo[ctype.minority[0]] += entry.count
-        else:
-            partner = next(i for i in ctype.sides[0] if i != 0)
-            ties[partner - 1] += entry.count
-    return (solo[0], solo[1], solo[2], solo[3]), (ties[0], ties[1], ties[2]), consensus
-
-
-def agreement(a: Sequence[int], b: Sequence[int], subset: Iterable[int] | None = None) -> int:
-    """Count the positions (optionally within ``subset``) where a and b agree.
-
-    ``subset`` holds 0-based positions; None means all positions.
-    """
-    va = _as_bits(a, "first vector")
-    vb = _as_bits(b, "second vector")
-    if len(va) != len(vb):
-        raise ValueError(f"vector lengths differ: {len(va)} vs {len(vb)}")
-    if subset is None:
-        return sum(1 for x, y in zip(va, vb) if x == y)
-    total = 0
-    for k in subset:
-        if not 0 <= k < len(va):
-            raise ValueError(f"position {k} out of range for length {len(va)}")
-        if va[k] == vb[k]:
-            total += 1
-    return total
 
 
 def utility(matrix: PreferenceMatrix, outcome: Sequence[int], i: int) -> int:

@@ -46,7 +46,6 @@ from .model import (
     _remember,
     _utilities,
     canonicalize,
-    n4_counts,
     type_census,
 )
 from .shares import SearchBudgetExceeded, effective_budget
@@ -65,7 +64,6 @@ __all__ = [
     "DeferredAmbiguity4",
     "InternalInconsistencyError",
     "deferred_ambiguity",
-    "eta_vector",
     "MaxNashWelfareRule",
     "mnw_outcome",
     "nash_welfare",
@@ -548,22 +546,10 @@ class MuffledMajority3(Rule):
 # deferred ambiguity (4 agents, offline)
 
 
-def eta_vector(matrix: PreferenceMatrix) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Compensation thresholds for the deferral rule, one per agent.
-
-    Agent ``i`` is entitled to three quarters of every sole-minority
-    count opposing someone else, a quarter of the count opposing
-    themselves, half of every tie count, and all consensus columns.
-    """
-    if matrix.n != 4:
-        raise ValueError("thresholds are defined for 4-agent instances")
-    solo, ties, consensus = n4_counts(matrix)
-    return tuple(Fraction(q, 4) for q in _eta_quarters(solo, sum(ties), consensus))
-
-
 def _eta_quarters(solo: Sequence[int], ties: int, consensus: int) -> tuple[int, ...]:
-    """Four times each agent's ``eta_vector`` threshold, an integer, from
-    the ``n4_counts`` with the tie counts summed."""
+    """Four times each agent's deferral threshold, an integer: three
+    quarters of every sole-minority count opposing someone else, a quarter
+    of the agent's own, all consensus columns and half of the ``ties``."""
     total_alpha = sum(solo)
     rest = 4 * consensus + 2 * ties
     return tuple(3 * (total_alpha - s) + s + rest for s in solo)
@@ -590,8 +576,8 @@ def deferred_ambiguity(
         raise ValueError("the deferral rule is defined for 4 agents")
     # The reduced instance is read off the full census: the k-th kept
     # occurrence of a type is its k-th occurrence in the reduced matrix,
-    # and an odd tie type keeps all but its last. The same walk takes
-    # the n4_counts the thresholds need, with the tie counts summed.
+    # and an odd tie type keeps all but its last. The same walk counts
+    # the sole minorities, ties and consensus columns of the thresholds.
     solo = [0, 0, 0, 0]
     ties = consensus = 0
     removed = []

@@ -27,15 +27,16 @@ The share depends on the agreement structure only up to a relabelling of
 the agents: renaming them permutes the columns of every bundle-sum
 matrix, and the permutation minimum absorbs that. Every share query reads
 the matrix's census of non-consensus types (canonical bits with counts,
-sorted), builds the agents' solver items from it and searches each
-agent's relabelled items: the items are renamed by an invariant
-signature (the refinement step of canonical labelling, McKay & Piperno
-2014), so agents whose items differ only by agent labels are mostly
-searched once. Two caches, both keyed with the node budget, hold the
-results: the class cache of those searches, which ``mms_adapt`` and
-``mms_partition`` read for one agent, and ``mms_adapt_all``'s memo of
-every agent's share, less the consensus columns, on the sorted census,
-so matrices equal up to column order and orientation cost one lookup.
+sorted) and builds the agents' solver items from it. The share queries
+search each agent's relabelled items: the items are renamed by an
+invariant signature (the refinement step of canonical labelling, McKay
+& Piperno 2014), so agents whose items differ only by agent labels are
+mostly searched once. ``mms_partition`` searches agent i's own items
+instead, so its witness needs no mapping back. Two caches, both keyed
+with the node budget, hold the results: the cache of those searches,
+keyed by their items, and ``mms_adapt_all``'s memo of every agent's
+share, less the consensus columns, on the sorted census, so matrices
+equal up to column order and orientation cost one lookup.
 The matrix itself caches no share; it holds only its type census and
 the utilities of the last outcome a rule or an audit counted on it.
 """
@@ -171,21 +172,18 @@ def _census(matrix: PreferenceMatrix) -> tuple[int, tuple[tuple[tuple, int, int]
 
 def _agent_items(
     n: int, types: Sequence[tuple[tuple, int, int]], i: int
-) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+) -> tuple[tuple[int, int], ...]:
     """Agent i's solver items for non-consensus types given as ``_census``
     triples: ``(count, mask)`` per agreement mask (the agents on agent
-    i's side of a type), by descending count, then by mask; and for each
-    item the indices of the types it groups. Types with equal masks are
-    indistinguishable to every agreement term of the agent's game."""
+    i's side of a type), by descending count, then by mask. Types with
+    equal masks are indistinguishable to every agreement term of the
+    agent's game."""
     everyone = (1 << n) - 1
     counts: dict[int, int] = {}
-    groups: dict[int, list[int]] = {}
-    for t, (bits, count, ones) in enumerate(types):
+    for bits, count, ones in types:
         mask = ones if bits[i] else everyone ^ ones
         counts[mask] = counts.get(mask, 0) + count
-        groups.setdefault(mask, []).append(t)
-    masks = sorted(groups, key=lambda mask: (-counts[mask], mask))
-    return tuple((counts[mask], mask) for mask in masks), [groups[mask] for mask in masks]
+    return tuple(sorted(((c, mask) for mask, c in counts.items()), key=lambda cm: (-cm[0], cm[1])))
 
 
 def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
@@ -193,9 +191,7 @@ def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
     return sum(count * bin(mask).count("1") for count, mask in items) // n
 
 
-def _relabel(
-    n: int, items: tuple[tuple[int, int], ...]
-) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+def _relabel(n: int, items: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """Rename the agents so that items equal up to agent labels tend to
     meet in one key.
 
@@ -203,8 +199,7 @@ def _relabel(
     mask) over the items whose mask contains it, an invariant of the
     relabelling; agents are renamed in the order of (signature, index),
     every mask is rewritten under the new names, and the items are sorted
-    again by descending count, then mask. Returns the relabelled items and,
-    for each of them, the index of the item it came from.
+    again by descending count, then mask.
 
     Renaming agents permutes the columns of every bundle-sum matrix, which
     the permutation minimum absorbs, so any renaming keeps the share and
@@ -219,19 +214,20 @@ def _relabel(
                 signatures[a].append(key)
     order = sorted(range(n), key=lambda a: (sorted(signatures[a]), a))
     relabelled = []
-    for t, (count, mask) in enumerate(items):
+    for count, mask in items:
         renamed = 0
         for k, a in enumerate(order):
             if mask >> a & 1:
                 renamed |= 1 << k
-        relabelled.append((-count, renamed, t))
+        relabelled.append((-count, renamed))
     relabelled.sort()
-    return tuple((-c, mask) for c, mask, _ in relabelled), [t for _, _, t in relabelled]
+    return tuple((-c, mask) for c, mask in relabelled)
 
 
 @lru_cache(maxsize=65536)
 def _search_class(n: int, items: tuple[tuple[int, int], ...], budget: int):
-    """The kernel search for relabelled items: one per relabelled key."""
+    """The kernel search for solver items, one per items tuple: the
+    share queries pass relabelled items, ``mms_partition`` an agent's own."""
     counts = tuple(c for c, _ in items)
     masks = tuple(m for _, m in items)
     cap = _items_cap(n, items)
@@ -251,8 +247,8 @@ def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
     consensus, types = _census(matrix)
-    items, _ = _agent_items(n, types, i)
-    return consensus + _search_class(n, _relabel(n, items)[0], effective_budget())[0]
+    items = _agent_items(n, types, i)
+    return consensus + _search_class(n, _relabel(n, items), effective_budget())[0]
 
 
 def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
@@ -269,7 +265,7 @@ def _census_bests(n: int, types: tuple[tuple[tuple, int, int], ...], budget: int
     non-consensus census ``types``. Each agent's items go through the
     cached search of their relabelled class."""
     return tuple(
-        _search_class(n, _relabel(n, _agent_items(n, types, i)[0])[0], budget)[0]
+        _search_class(n, _relabel(n, _agent_items(n, types, i)), budget)[0]
         for i in range(n)
     )
 
@@ -278,29 +274,30 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     """An optimal partition witnessing mms_adapt(matrix, i).
 
     The witness is the first optimum in the solver's canonical
-    (symmetry-pruned) enumeration order of agent i's relabelled items,
-    mapped back to agent i's own items; consensus columns all sit in the
-    first bundle. Each item's columns are taken from its types in the
-    order of the sorted census (by canonical bits), then by column
-    index, so the witness may differ from the one earlier versions
-    returned; any optimum is a valid witness. ``partition_guarantee`` of
-    the result equals the share.
+    (symmetry-pruned) enumeration order of agent i's own items, not
+    relabelled; consensus columns all sit in the first bundle. Each
+    item's columns are those of the census types with its mask, type by
+    type in order of first occurrence, so the witness may differ from
+    the one earlier versions returned; any optimum is a valid witness.
+    ``partition_guarantee`` of the result equals the share.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
     _, types = _census(matrix)
-    items, groups = _agent_items(n, types, i)
-    relabelled, source = _relabel(n, items)
-    _, comp = _search_class(n, relabelled, effective_budget())
+    items = _agent_items(n, types, i)
+    _, comp = _search_class(n, items, effective_budget())
+    everyone = (1 << n) - 1
     bundles: list[list[int]] = [[] for _ in range(n)]
-    occurrences = {}
+    columns: dict[int, list[int]] = {}
     for ctype, entry in type_census(matrix).items():
         if ctype.kind == "consensus":
             bundles[0].extend(entry.occurrences)
-        occurrences[ctype.bits] = entry.occurrences
-    for t, alloc in zip(source, comp):
-        cols = [j for k in groups[t] for j in occurrences[types[k][0]]]
+        else:
+            mask = ctype._mask if ctype.bits[i] else everyone ^ ctype._mask
+            columns.setdefault(mask, []).extend(entry.occurrences)
+    for (_, mask), alloc in zip(items, comp):
+        cols = columns[mask]
         pos = 0
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])

@@ -192,16 +192,27 @@ def reference_search_max_partition(counts, masks, n, cap, node_budget):
 def reference_eta_vector(matrix):
     """The deferral thresholds summed as ``Fraction``s, term by term:
     three quarters of every sole-minority count opposing someone else, a
-    quarter of the agent's own, all consensus columns and half the ties."""
+    quarter of the agent's own, all consensus columns and half the ties.
+    The counts come from each column's bits: one agent against three is
+    that agent's sole minority, two against two a tie."""
     from fractions import Fraction
 
-    from mmsvote.model import n4_counts
-
-    solo, ties, consensus = n4_counts(matrix)
-    half_ties = Fraction(sum(ties), 2)
+    solo = [0, 0, 0, 0]
+    ties = consensus = 0
+    for col in matrix.columns():
+        ones = sum(col)
+        if ones in (0, 4):
+            consensus += 1
+        elif ones == 2:
+            ties += 1
+        else:
+            solo[col.index(1 if ones == 1 else 0)] += 1
     total_alpha = sum(solo)
     return tuple(
-        Fraction(3, 4) * (total_alpha - solo[i]) + Fraction(1, 4) * solo[i] + consensus + half_ties
+        Fraction(3, 4) * (total_alpha - solo[i])
+        + Fraction(1, 4) * solo[i]
+        + consensus
+        + Fraction(ties, 2)
         for i in range(4)
     )
 

@@ -266,7 +266,7 @@ def agent_items(matrix, i):
     """Agent i's raw solver items, before the solver relabels the agents,
     and the matrix's consensus count."""
     consensus, types = shares._census(matrix)
-    return shares._agent_items(matrix.n, types, i)[0], consensus
+    return shares._agent_items(matrix.n, types, i), consensus
 
 
 def agent_search(matrix, i):
@@ -284,7 +284,7 @@ def relabelled_searches(matrices):
     for matrix in matrices:
         for i in range(matrix.n):
             items = agent_items(matrix, i)[0]
-            key = (matrix.n, shares._relabel(matrix.n, items)[0])
+            key = (matrix.n, shares._relabel(matrix.n, items))
             if key not in searched:
                 best, searched[key] = items_search(*key)
                 assert best == items_search(matrix.n, items)[0]

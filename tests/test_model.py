@@ -9,10 +9,8 @@ from mmsvote.model import (
     ParseError,
     Partition,
     PreferenceMatrix,
-    agreement,
     canonicalize,
     n3_counts,
-    n4_counts,
     parse_matrix,
     parse_outcome,
     type_census,
@@ -111,36 +109,10 @@ def test_from_columns_and_accessors():
     assert empty.m == 0 and empty.n == 2
 
 
-def test_agreement_examples():
-    assert agreement((1, 0, 1), (1, 0, 1), {0, 1, 2}) == 3
-    assert agreement((1, 0, 1), (0, 1, 0), {0, 1, 2}) == 0
-    assert agreement((1, 1, 0), (1, 0, 0), {1, 2}) == 1
-    assert agreement((1, 1, 0), (1, 0, 0)) == 2
-
-
-def test_agreement_errors():
-    with pytest.raises(ValueError):
-        agreement((0, 1), (0, 1, 1))
-    with pytest.raises(ValueError):
-        agreement((0, 1), (0, 1), {2})
-
-
-def test_agreement_complement_identity():
-    rng = random.Random(11)
-    for _ in range(200):
-        size = rng.randint(1, 12)
-        a = tuple(rng.randint(0, 1) for _ in range(size))
-        b = tuple(rng.randint(0, 1) for _ in range(size))
-        subset = {k for k in range(size) if rng.random() < 0.5}
-        disagreements = sum(1 for k in subset if a[k] != b[k])
-        assert agreement(a, b, subset) + disagreements == len(subset)
-
-
 def test_canonicalize_examples():
     t, flip = canonicalize([0, 0, 1, 1])
     assert t.bits == (0, 0, 1, 1) and not flip
     assert t.kind == "tie"
-    assert t.sides == ((0, 1), (2, 3))
 
     t, flip = canonicalize([1, 0, 0, 0])
     assert t.bits == (0, 1, 1, 1) and flip
@@ -273,23 +245,6 @@ def test_n3_counts_all_consensus():
         n3_counts(PreferenceMatrix.from_rows([(0,), (0,)]))
 
 
-def test_n4_counts():
-    M = PreferenceMatrix.from_columns(
-        [
-            (1, 0, 0, 0),  # agent 1 solo
-            (0, 0, 1, 0),  # agent 3 solo
-            (0, 0, 1, 1),  # tie pairing agents 1,2
-            (1, 1, 0, 0),  # same tie, negated orientation
-            (0, 1, 0, 1),  # tie pairing agents 1,3
-            (1, 1, 1, 1),  # consensus
-        ]
-    )
-    solo, ties, consensus = n4_counts(M)
-    assert solo == (1, 0, 1, 0)
-    assert ties == (2, 1, 0)
-    assert consensus == 1
-
-
 def test_utility_examples():
     outcome = (1, 1, 1, 0, 1, 1, 1, 0, 0)
     assert utility(EXAMPLE_3x9, EXAMPLE_3x9.rows[1], 1) == 9
@@ -362,3 +317,20 @@ def test_trusted_builders_equal_checked_constructor():
         kept = [[b for j, b in enumerate(r) if j not in drop] for r in rows]
         assert checked.drop_columns(drop) == PreferenceMatrix.from_rows(kept)
         assert hash(checked.drop_columns(drop)) == hash(PreferenceMatrix.from_rows(kept))
+
+
+def test_every_exported_name_resolves():
+    # a deleted function cannot leave its name behind in an __all__
+    import importlib
+    import pkgutil
+
+    import mmsvote
+
+    modules = [mmsvote] + [
+        importlib.import_module(f"mmsvote.{info.name}")
+        for info in pkgutil.iter_modules(mmsvote.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    assert len(modules) >= 8

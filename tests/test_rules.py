@@ -20,7 +20,6 @@ from mmsvote.rules import (
     RuleTranscript,
     build_rule,
     deferred_ambiguity,
-    eta_vector,
     mnw_outcome,
     nash_welfare,
     run_rule,
@@ -31,7 +30,6 @@ from oracles import (
     naive_mnw,
     random_matrix,
     reference_deferred_ambiguity,
-    reference_eta_vector,
     standard_pattern_utility,
 )
 
@@ -271,17 +269,19 @@ def test_muffled_needs_horizon():
 
 
 def test_eta_examples():
+    # none of these has an odd tie type, so the thresholds are those of
+    # the full instance
     M = PreferenceMatrix.from_columns([(0, 1, 1, 1)] * 4)
-    assert eta_vector(M) == (Fraction(1), Fraction(3), Fraction(3), Fraction(3))
+    assert deferred_ambiguity(M)[3] == (Fraction(1), Fraction(3), Fraction(3), Fraction(3))
     M = PreferenceMatrix.from_columns([(1, 0, 1, 1)] * 3)
-    assert eta_vector(M) == (
+    assert deferred_ambiguity(M)[3] == (
         Fraction(9, 4),
         Fraction(3, 4),
         Fraction(9, 4),
         Fraction(9, 4),
     )
     M = PreferenceMatrix.from_columns([(1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)])
-    assert eta_vector(M) == (Fraction(3),) * 4
+    assert deferred_ambiguity(M)[3] == (Fraction(3),) * 4
 
 
 def test_standard_pattern_utility_matches_run():
@@ -538,7 +538,6 @@ def test_deferred_ambiguity_matches_fraction_reference():
     rng = random.Random(4108)
     for _ in range(500):
         M = random_matrix(rng, 4, rng.randint(1, 8))
-        assert eta_vector(M) == reference_eta_vector(M)
         outcome, removed, i_star, eta = deferred_ambiguity(M)
         assert (outcome, removed, i_star, eta) == reference_deferred_ambiguity(M)
         assert all(isinstance(t, Fraction) for t in eta)
@@ -607,40 +606,35 @@ def test_outcome_consumers_read_bools_as_bits():
 
 def test_sweep_ops_count_each_fact_once(monkeypatch):
     # a parse -> run -> audit op makes one full pass over the rows for the
-    # utilities, deferred4 takes its counts from its own census walk, and
-    # every (tokens, type) cycle is resolved once
+    # utilities, and every (tokens, type) cycle is resolved once
     from mmsvote import model, rules
     from mmsvote.verify import audit
 
-    calls = {"agreements": 0, "n4_counts": 0}
+    calls = 0
+    counted = model._agreements
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def agreements(*args):
+        nonlocal calls
+        calls += 1
+        return counted(*args)
 
-    agreements = counted("agreements", model._agreements)
-    n4 = counted("n4_counts", model.n4_counts)
     for module in (model, rules):
         monkeypatch.setattr(module, "_agreements", agreements)
-        monkeypatch.setattr(module, "n4_counts", n4)
     rules._cycle.cache_clear()
     rng = random.Random(4242)
     pairs = set()
     for name, n in (("ptrr3", 3), ("deferred4", 4)) * 60:
         matrix = random_matrix(rng, n, rng.randint(1, 10))
-        before = calls["agreements"]
+        before = calls
         parsed = parse_matrix(matrix.to_text())
         outcome = run_rule(name, parsed).outcome
         report = audit(parsed, outcome)
-        assert calls["agreements"] == before + 1
+        assert calls == before + 1
         assert report.utilities == tuple(utility(matrix, outcome, i) for i in range(n))
         pattern = standard_pattern(n)
         pairs.update(
             (pattern(ctype), ctype) for ctype in type_census(matrix) if ctype.kind != "consensus"
         )
-    assert calls["n4_counts"] == 0
     assert 0 < rules._cycle.cache_info().misses <= len(pairs)
 
 

@@ -183,12 +183,12 @@ def test_partition_guarantee_validates():
 def test_mms_partition_witness_attains_share():
     rng = random.Random(1213)
     matrices = [random_matrix(rng, rng.randint(3, 4), rng.randint(0, 6)) for _ in range(60)]
-    # many of these witnesses come from a search run on another agent's
-    # relabelled items, mapped back to this agent's own item order
+    # each witness comes from a search of the agent's own items, not the
+    # relabelled ones the share queries search
     matrices += [parse_matrix(text) for text, _ in SHARES_WORKLOAD]
     matrices += small_instances(seed=2718, count=150)
-    # column-shuffled and column-complemented copies take the witness's
-    # columns from the sorted census in another order than their own
+    # column-shuffled and column-complemented copies list the census types
+    # in another order and orientation than their source
     for M in matrices:
         cols = list(M.columns())
         rng.shuffle(cols)
