@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import Partition, PreferenceMatrix, _utilities, parse_matrix, type_census
+from .model import Partition, PreferenceMatrix, _as_bits, _utilities, parse_matrix, type_census
 from .rules import _RULE_FACTORIES, Rule, RuleTranscript, build_rule
 from .shares import _rds_totals, partition_guarantee
 
@@ -248,7 +248,9 @@ class ViolationCertificate(_Transcribed):
     The witness partition certifies ``guarantee <= mms_adapt`` for the
     victim on the recorded instance, while ``achieved`` is the victim's
     realized utility; validity means ``achieved < guarantee``, and both
-    numbers can be recomputed from the other fields alone.
+    numbers can be recomputed from the other fields alone. Construction
+    raises :class:`CertificateError` unless the transcript, the victim and
+    the witness's shape (n bundles over m decisions) fit the instance.
     """
 
     transcript: RuleTranscript
@@ -256,6 +258,15 @@ class ViolationCertificate(_Transcribed):
     witness: Partition
     guarantee: int
     achieved: int
+
+    def __post_init__(self) -> None:
+        n, m = self.instance.n, self.instance.m
+        if len(self.transcript.outcome) != m:
+            raise CertificateError(f"transcript does not cover the instance's {m} decisions")
+        if not isinstance(self.victim, int) or not 0 <= self.victim < n:
+            raise CertificateError(f"victim index {self.victim!r} out of range")
+        if len(self.witness.bundles) != n or self.witness.n_decisions != m:
+            raise CertificateError(f"bad witness partition: not {n} bundles over {m} decisions")
 
     def to_dict(self) -> dict:
         return {
@@ -318,11 +329,7 @@ class ViolationCertificate(_Transcribed):
                 "bad witness partition: expected lists of integer decision numbers"
             )
         try:
-            witness = Partition.of(
-                [[j - 1 for j in bundle] for bundle in bundles],
-                n_agents=instance.n,
-                n_decisions=instance.m,
-            )
+            witness = Partition([[j - 1 for j in bundle] for bundle in bundles], instance.m)
         except ValueError as exc:
             raise CertificateError(f"bad witness partition: {exc}") from None
         guarantee, achieved = blob["guarantee"], blob["achieved"]
@@ -427,9 +434,11 @@ class _AttackDriver:
         for position, column in enumerate(columns, start=1):
             if len(self.columns) >= self.cap:
                 raise _ScriptStop(f"safety cap of {self.cap} columns reached")
-            bit = self.step.decide(column)
-            if bit not in (0, 1):
-                raise _ScriptStop(f"rule produced non-bit decision {bit!r}")
+            decided = self.step.decide(column)
+            try:
+                (bit,) = _as_bits((decided,), "decision")
+            except ValueError:
+                raise _ScriptStop(f"rule produced non-bit decision {decided!r}") from None
             self.columns.append(column)
             self.bits.append(bit)
             self.log.append((stage, column, bit))
@@ -451,14 +460,14 @@ class _AttackDriver:
         out = []
         if m <= n:
             bundles = [[j] for j in range(m)] + [[] for _ in range(n - m)]
-            out.append(Partition.of(bundles, n_agents=n, n_decisions=m))
+            out.append(Partition(bundles, m))
         if any(len(occurrences) >= 2 for occurrences in census):
             for offset in (0, 1):
                 bundles = [[] for _ in range(n)]
                 for c, occurrences in enumerate(census):
                     for k, j in enumerate(occurrences):
                         bundles[(offset * c + k) % n].append(j)
-                out.append(Partition.of(bundles, n_agents=n, n_decisions=m))
+                out.append(Partition(bundles, m))
         if self.stage3_from is not None:
             head = set(self.specials) | set(range(self.stage3_from, m))
             bundles = [sorted(head)] + [[] for _ in range(n - 1)]
@@ -466,11 +475,11 @@ class _AttackDriver:
                 rest = [j for j in occurrences if j not in head]
                 for k, j in enumerate(rest):
                     bundles[1 + k % (n - 1)].append(j)
-            out.append(Partition.of(bundles, n_agents=n, n_decisions=m))
+            out.append(Partition(bundles, m))
         return out
 
     def _check_witnesses(self) -> None:
-        matrix = PreferenceMatrix.from_columns(self.columns, n_agents=self.n)
+        matrix = PreferenceMatrix._trusted(tuple(zip(*self.columns)))
         witnesses = self._witnesses(matrix)
         # a partition's permutation minimum is an int no larger than its
         # average over all permutations, RDS_i, so an agent whose utility

@@ -21,9 +21,11 @@ Conventions
   constructors (``PreferenceMatrix(...)``, ``from_rows``, ``from_columns``,
   ``append_column``, ``CanonicalType(...)``), the parsers, ``canonicalize``
   and ``utility`` reject anything that is not a 0/1 ``int`` (``bool`` is
-  read as its ``int``) or has the wrong length. Internal builders trust
-  bits the package made itself: the parsers, ``prefix``, ``drop_columns``
-  and ``type_census`` build their values without a second check.
+  read as its ``int``) or has the wrong length; ``Partition(...)``, any
+  index that is not an ``int`` in range or not in exactly one bundle.
+  Internal builders trust bits the package made itself: the parsers,
+  ``prefix``, ``drop_columns`` and ``type_census`` build their values
+  without a second check, and a Partition's users check only its shape.
 """
 
 from __future__ import annotations
@@ -396,37 +398,41 @@ def _utilities(
 
 @dataclass(frozen=True)
 class Partition:
-    """A split of the decision set {0..m-1} into n labeled bundles.
+    """A split of the decision set {0..m-1} into labeled bundles.
 
     Bundles may be empty; they are stored as sorted tuples of 0-based
-    column indices. ``Partition.of`` validates disjointness and coverage.
+    column indices. Construction checks that every index is an ``int``
+    in ``range(n_decisions)`` (a ``bool`` reads as its ``int``) and sits
+    in exactly one bundle; ``Partition.of`` also checks the bundle count.
     """
 
     bundles: tuple[tuple[int, ...], ...]
-    n_decisions: int = field(default=-1)
+    n_decisions: int
 
     def __post_init__(self) -> None:
-        clean = tuple(tuple(sorted(b)) for b in self.bundles)
-        object.__setattr__(self, "bundles", clean)
-        if self.n_decisions < 0:
-            object.__setattr__(self, "n_decisions", sum(len(b) for b in clean))
-
-    @classmethod
-    def of(cls, bundles: Iterable[Iterable[int]], n_agents: int, n_decisions: int) -> "Partition":
-        bs = tuple(tuple(sorted(b)) for b in bundles)
-        if len(bs) != n_agents:
-            raise ValueError(f"partition has {len(bs)} bundles, expected {n_agents}")
+        m = self.n_decisions
         seen: set[int] = set()
-        for b in bs:
+        clean = []
+        for b in self.bundles:
+            bundle = []
             for j in b:
-                if not 0 <= j < n_decisions:
-                    raise ValueError(f"decision index {j} out of range for m={n_decisions}")
+                if not isinstance(j, int) or not 0 <= j < m:
+                    raise ValueError(f"decision index {j!r} out of range for m={m}")
                 if j in seen:
                     raise ValueError(f"decision {j + 1} appears in two bundles")
                 seen.add(j)
-        if len(seen) != n_decisions:
-            missing = sorted(set(range(n_decisions)) - seen)
+                bundle.append(int(j))
+            clean.append(tuple(sorted(bundle)))
+        if len(seen) != m:
+            missing = sorted(set(range(m)) - seen)
             raise ValueError(f"decisions not covered: {[j + 1 for j in missing]}")
+        object.__setattr__(self, "bundles", tuple(clean))
+
+    @classmethod
+    def of(cls, bundles: Iterable[Iterable[int]], n_agents: int, n_decisions: int) -> "Partition":
+        bs = tuple(bundles)
+        if len(bs) != n_agents:
+            raise ValueError(f"partition has {len(bs)} bundles, expected {n_agents}")
         return cls(bs, n_decisions)
 
 

@@ -72,9 +72,6 @@ __all__ = [
     "RULE_NAMES",
 ]
 
-TOKENS = ("MAJ", "MIN", "CANON", "ANTI")
-
-
 class GracefulMapError(ValueError):
     """A graceful token table is malformed or has no entry for a type."""
 
@@ -192,10 +189,7 @@ class Rule:
 
     def run(self, matrix: PreferenceMatrix) -> RuleTranscript:
         self.check_matrix(matrix)
-        if self.horizon_aware:
-            step = self.stepper(matrix.n, matrix.m)
-        else:
-            step = self.stepper(matrix.n)
+        step = self.stepper(matrix.n, matrix.m)
         # from_outcome rejects a decision that is not a bit
         outcome = [step.decide(column) for column in matrix.columns()]
         return RuleTranscript.from_outcome(self.name, matrix, outcome, step.details())

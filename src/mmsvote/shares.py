@@ -43,7 +43,6 @@ the utilities of the last outcome a rule or an audit counted on it.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,21 +301,24 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])
             pos += c
-    return Partition.of(bundles, n_agents=n, n_decisions=matrix.m)
+    return Partition(bundles, matrix.m)
 
 
 def partition_guarantee(matrix: PreferenceMatrix, i: int, partition: Partition) -> int:
     """Exact min over all n! bundle-to-agent permutations of agent i's
     agreement total; the kernel finds it in O(n^3) without enumerating
     them. This is the certificate-checking primitive: for any partition
-    it lower-bounds mms_adapt, with equality on a witness."""
-    if not 0 <= i < matrix.n:
-        raise ValueError(f"agent index {i} out of range for n={matrix.n}")
-    checked = Partition.of(partition.bundles, n_agents=matrix.n, n_decisions=matrix.m)
+    it lower-bounds mms_adapt, with equality on a witness. A Partition is
+    valid by construction; only its shape, n bundles over m decisions, is
+    checked here."""
     n = matrix.n
+    if not 0 <= i < n:
+        raise ValueError(f"agent index {i} out of range for n={n}")
+    if len(partition.bundles) != n or partition.n_decisions != matrix.m:
+        raise ValueError(f"partition is not {n} bundles over {matrix.m} decisions")
     ref = matrix.rows[i]
     B = []
-    for bundle in checked.bundles:
+    for bundle in partition.bundles:
         row = [0] * n
         for j in bundle:
             for a in range(n):
@@ -350,11 +352,11 @@ def n3_bounds(matrix: PreferenceMatrix) -> N3Bounds:
     fine = []
     for i in range(3):
         others = d - solo[i]
-        fine.append(m - d + math.floor(Fraction(2, 3) * others + Fraction(1, 3) * solo[i]))
+        fine.append(m - d + (2 * others + solo[i]) // 3)
     return N3Bounds(
         fine=(fine[0], fine[1], fine[2]),
-        coarse=m - math.ceil(Fraction(d, 3)),
-        min_bound=m - math.ceil(Fraction(4 * d, 9)),
+        coarse=m - (d + 2) // 3,
+        min_bound=m - (4 * d + 8) // 9,
     )
 
 

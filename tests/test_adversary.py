@@ -259,6 +259,39 @@ class ScriptedRule(Rule):
         return _ScriptedStepper(self.positions)
 
 
+class _ConstantStepper(Stepper):
+    def __init__(self, value):
+        self.value = value
+
+    def decide(self, column):
+        return self.value
+
+
+class ConstantRule(Rule):
+    """Online test rule that decides ``value`` on every column, bit or not."""
+
+    name = "constant"
+
+    def __init__(self, value):
+        self.value = value
+
+    def stepper(self, n, m=None):
+        return _ConstantStepper(self.value)
+
+
+@pytest.mark.parametrize("value", [2, 1.0])
+def test_attack_rejects_non_bit_decision(value):
+    report = adaptive_attack(ConstantRule(value), 7)
+    assert isinstance(report, AttackExhausted)
+    assert report.reason == f"rule produced non-bit decision {value!r}"
+    assert (report.instance.n, report.instance.m) == (7, 0)
+
+
+def test_attack_reads_true_as_one():
+    as_true = adaptive_attack(ConstantRule(True), 7)
+    assert as_true.to_dict() == adaptive_attack(ConstantRule(1), 7).to_dict()
+
+
 # the scripts the staged runs below walk through at n = 7, where the
 # opening ends at t = 1 (ell = 2, mu = 3) unless the rule waits longer
 S1 = gen_stage1(7)
@@ -350,6 +383,8 @@ def test_certificate_parse_rejections(tmp_path):
         ViolationCertificate.from_json(broken(victim=8))
     with pytest.raises(CertificateError, match="witness"):
         ViolationCertificate.from_json(broken(witness=[[1, 1], [2]]))
+    with pytest.raises(CertificateError, match="witness"):
+        ViolationCertificate.from_json(broken(witness=blob["witness"] + [[]]))
     with pytest.raises(CertificateError, match="integers"):
         ViolationCertificate.from_json(broken(guarantee="one"))
     for not_an_object in ("3", "null", "[]"):

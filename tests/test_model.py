@@ -284,6 +284,18 @@ def test_partition_validation():
         Partition.of([(0,), (1,), ()], n_agents=3, n_decisions=3)
     with pytest.raises(ValueError):
         Partition.of([(0,), (3,), ()], n_agents=3, n_decisions=3)
+    # every index is checked whichever constructor builds the partition
+    for bundles, message in (
+        ([(0, 1.0), (2,), ()], "out of range"),
+        ([(0, 1), (1, 2), ()], "two bundles"),
+        ([(0,), (2,), ()], "not covered"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Partition(bundles, 3)
+        with pytest.raises(ValueError, match=message):
+            Partition.of(bundles, n_agents=3, n_decisions=3)
+    # a bool is read as its int, as in a preference bit
+    assert Partition([(True, 0), (2,), ()], 3).bundles == ((0, 1), (2,), ())
 
 
 def test_parse_outcome():

@@ -135,14 +135,38 @@ def test_check_certificate_consensus_no_violation():
 
 def test_check_certificate_malformed():
     cert = adaptive_attack("majority", 7)
+    m = cert.instance.m
     with pytest.raises(CertificateError):
         check_certificate(dataclasses.replace(cert, victim=9))
-    short = Partition(tuple(b for b in cert.witness.bundles[:-1]) + ((),))
-    with pytest.raises(CertificateError):
-        check_certificate(dataclasses.replace(cert, witness=short))
+    # a witness that loses its last bundle's decisions cannot be built at all
+    with pytest.raises(ValueError, match="not covered"):
+        Partition(cert.witness.bundles[:-1] + ((),), m)
+    # valid partitions shaped for another instance do not fit the certificate
+    other_m = Partition.of([range(5)] + [()] * 6, n_agents=7, n_decisions=5)
+    one_more_bundle = Partition(cert.witness.bundles + ((),), m)
+    for witness in (other_m, one_more_bundle):
+        with pytest.raises(CertificateError, match="witness"):
+            dataclasses.replace(cert, witness=witness)
     other = run_rule("majority", all_consensus(7, 3))
     with pytest.raises(CertificateError):
         check_certificate(dataclasses.replace(cert, transcript=other))
+
+
+def test_check_certificate_builds_no_partition(monkeypatch):
+    # the witness was checked when it was built; the referee only recomputes
+    cert = adaptive_attack("majority", 7)
+    built = []
+    post_init = Partition.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    assert check_certificate(cert)
+    assert built == []
+    Partition(cert.witness.bundles, cert.instance.m)
+    assert len(built) == 1
 
 
 def test_exhaustive_round_robin_clean():
