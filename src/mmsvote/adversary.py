@@ -13,10 +13,12 @@ Attack columns always put the minority on bit 0. Agent arguments such as
 appear in reports; column indices inside certificates are 0-based in
 memory and 1-based in JSON.
 
-The attack's violation test is exact: after every fed column it evaluates
-a small catalog of witness partitions with ``partition_guarantee`` and
-compares against realized utilities. A returned certificate is therefore
-sound by construction, independent of any bookkeeping along the way.
+The attack keeps utilities, RDS totals and the type census as it feeds
+columns. Its violation test is exact: once a column leaves some agent
+below floor(RDS), it builds a small catalog of witness partitions,
+evaluates them with ``partition_guarantee`` and compares against
+realized utilities. A returned certificate is therefore sound by
+construction, independent of any bookkeeping along the way.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import Partition, PreferenceMatrix, _as_bits, _utilities, parse_matrix, type_census
+from .model import CanonicalType, Partition, PreferenceMatrix, _as_bits, _canonical, parse_matrix
 from .rules import _RULE_FACTORIES, Rule, RuleTranscript, build_rule
-from .shares import _rds_totals, partition_guarantee
+from .shares import partition_guarantee
 
 __all__ = [
     "gen_stage1",
@@ -420,11 +422,16 @@ class _AttackDriver:
         self.log: list[tuple[str, tuple[int, ...], int]] = []
         self.specials: list[int] = []
         self.stage3_from: int | None = None
+        # kept as columns are fed; the census is ordered by first occurrence
+        self.utilities = [0] * n
+        self.totals = [0] * n
+        self.census: dict[CanonicalType, list[int]] = {}
 
     def feed(
         self, columns: Sequence[tuple[int, ...]], stage: str, *, until_minority: bool = False
     ) -> int | None:
-        """Feed columns in order, checking every witness after each one.
+        """Feed columns in order, updating the counts and checking the
+        witnesses after each one.
 
         With ``until_minority``, the first column the rule decides for its
         minority ends the feed: it becomes a special column, and its
@@ -439,6 +446,12 @@ class _AttackDriver:
                 (bit,) = _as_bits((decided,), "decision")
             except ValueError:
                 raise _ScriptStop(f"rule produced non-bit decision {decided!r}") from None
+            ones = sum(column)
+            for i, b in enumerate(column):
+                self.utilities[i] += b == bit
+                self.totals[i] += ones if b else self.n - ones
+            # the scripts above make every column, so _canonical needs no bit check
+            self.census.setdefault(_canonical(column)[0], []).append(len(self.columns))
             self.columns.append(column)
             self.bits.append(bit)
             self.log.append((stage, column, bit))
@@ -450,13 +463,13 @@ class _AttackDriver:
 
     # -- witnesses --------------------------------------------------------
 
-    def _witnesses(self, matrix: PreferenceMatrix) -> list[Partition]:
+    def _witnesses(self) -> list[Partition]:
         # catalog order: singletons (when every column fits in its own
         # bundle), then the two per-type round-robin spreads (only once
         # some type has repeats to spread), then the cascade split
         n = self.n
-        m = matrix.m
-        census = [entry.occurrences for entry in type_census(matrix).values()]
+        m = len(self.columns)
+        census = self.census.values()
         out = []
         if m <= n:
             bundles = [[j] for j in range(m)] + [[] for _ in range(n - m)]
@@ -479,19 +492,21 @@ class _AttackDriver:
         return out
 
     def _check_witnesses(self) -> None:
-        matrix = PreferenceMatrix._trusted(tuple(zip(*self.columns)))
-        witnesses = self._witnesses(matrix)
         # a partition's permutation minimum is an int no larger than its
         # average over all permutations, RDS_i, so an agent whose utility
         # reaches floor(RDS_i) cannot be violated and its checks are skipped
-        totals = _rds_totals(matrix)
-        bits, utilities = _utilities(matrix, self.bits)
-        for i, achieved in enumerate(utilities):
-            if achieved >= totals[i] // self.n:
-                continue
+        below = [i for i, (achieved, total) in enumerate(zip(self.utilities, self.totals))
+                 if achieved < total // self.n]
+        if not below:
+            return
+        matrix = PreferenceMatrix._trusted(tuple(zip(*self.columns)))
+        witnesses = self._witnesses()
+        for i in below:
+            achieved = self.utilities[i]
             for partition in witnesses:
                 guarantee = partition_guarantee(matrix, i, partition)
                 if achieved < guarantee:
+                    bits = tuple(self.bits)
                     raise _Certified(ViolationCertificate(
                         transcript=RuleTranscript.from_outcome(self.rule.name, matrix, bits),
                         victim=i,
@@ -550,12 +565,13 @@ def adaptive_attack(
 
     Plays the staged script: force a minority decision while agent 1
     starves, amplify the forced types, repeat against a second agent,
-    then cascade. After every column each catalog witness is evaluated
-    exactly for every agent (agent order first, then witness order), and
-    the first violation found is returned. Agents whose utility already
-    reaches floor(RDS) are skipped, since no partition guarantees more. A
-    completed script without a violation yields an
-    :class:`AttackExhausted` report instead.
+    then cascade. Utilities, RDS totals and the type census are kept as
+    columns are fed. After a column that leaves agents below floor(RDS),
+    the witness catalog is built and each witness evaluated exactly for
+    each such agent (agent order first, then witness order); the first
+    violation found is returned. No partition guarantees more than
+    floor(RDS), so the other agents are skipped. A completed script
+    without a violation yields an :class:`AttackExhausted` report instead.
 
     The rule must be online and not horizon-aware; it sees columns
     strictly one at a time. ``max_columns`` (at least 1) overrides the

@@ -13,11 +13,13 @@ print as ``p/q``, integers without a denominator. Exit codes: 0 for
 success (including a clean "none" from search), 1 when something was
 found (counterexample, exhausted attack, invalid certificate), 2 for
 usage and validation errors, 3 when the exact search ran out of budget.
+The parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -176,12 +178,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    try:
+        threshold = Fraction(args.threshold)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--threshold takes a ratio like 3/4, not {args.threshold!r}") from None
     found = exhaustive_check(
         args.rule,
         args.agents,
         args.max_decisions,
         args.share,
-        threshold=Fraction(args.threshold),
+        threshold=threshold,
         sample=args.sample,
         seed=args.seed,
     )
@@ -201,6 +207,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmsvote",
@@ -248,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--share", choices=("adapt", "egal"), default="adapt")
     search.add_argument("--threshold", default="1", help="target ratio, e.g. 3/4")
     search.add_argument("--sample", type=int, help="sample this many random instances")
-    search.add_argument("--seed", type=int, help="RNG seed (required with --sample)")
+    search.add_argument("--seed", type=int, help="RNG seed; needs --sample, and --sample needs it")
     search.add_argument("--json", action="store_true")
     search.set_defaults(func=_cmd_search)
 
@@ -266,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -252,7 +252,8 @@ def exhaustive_check(
     symmetrically, so the quotient is faithful); rules whose transcript
     contract declares order-insensitivity are enumerated as column
     multisets, the rest as ordered sequences. Sampling mode draws
-    ``sample`` random instances and requires an explicit seed. Returns
+    ``sample`` random instances and requires an explicit seed; a seed
+    without ``sample`` raises ValueError. Returns
     the first violating instance, greedily minimized, or None.
     ``threshold`` is an int, a Fraction or a string ``Fraction`` reads,
     such as ``"3/4"``; a float raises ValueError.
@@ -274,6 +275,8 @@ def exhaustive_check(
         # every outcome meets a non-positive share fraction, so no audit could fail
         raise ValueError(f"threshold must be positive, got {threshold}")
 
+    if seed is not None and sample is None:
+        raise ValueError("a seed needs sample: exhaustive mode draws nothing at random")
     if sample is not None:
         if sample < 1:
             raise ValueError(f"sample must be positive, got {sample}")

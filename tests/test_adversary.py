@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from mmsvote.adversary import (
     AttackExhausted,
     CertificateError,
     ViolationCertificate,
+    _AttackDriver,
     adaptive_attack,
     all_consensus,
     all_opposed,
@@ -17,9 +19,9 @@ from mmsvote.adversary import (
     gen_stage2,
     gen_stage3,
 )
-from mmsvote.model import PreferenceMatrix, canonicalize, utility
-from mmsvote.rules import Rule, Stepper, build_rule, run_rule
-from mmsvote.shares import mms_adapt, partition_guarantee
+from mmsvote.model import PreferenceMatrix, _agreements, canonicalize, type_census, utility
+from mmsvote.rules import RULE_NAMES, Rule, Stepper, build_rule, run_rule
+from mmsvote.shares import _rds_totals, mms_adapt, partition_guarantee
 from mmsvote.verify import check_certificate
 
 
@@ -299,18 +301,21 @@ S2 = gen_stage2(7, 2, 3)
 S3A, S3B = gen_stage3(7, 2, 3)
 
 
+STAGE_PATHS = [
+    # I1 -> I2: t = 2, then the first opening column n-1 times
+    ((1,), S1[:2] + S1[:1] * 5, 2, 1, 0, "1011111"),
+    # I1 -> II1: no second minority decision
+    ((0,), S1[:1] + S2, 3, 1, 0, "0111111"),
+    # I1 -> II1 -> II2: tau = 2, then the first stage II column again
+    ((0, 2), S1[:1] + S2[:2] + S2[:1], 4, 1, 0, "0101"),
+    # I1 -> II1 -> III-a -> III-b: tau = 1
+    ((0, 1), S1[:1] + S2[:1] + S3A + S3B + S3B[:2], 1, 2, 1, "00111111111111"),
+]
+
+
 @pytest.mark.parametrize(
     "positions, columns, victim, guarantee, achieved, decisions",
-    [
-        # I1 -> I2: t = 2, then the first opening column n-1 times
-        ((1,), S1[:2] + S1[:1] * 5, 2, 1, 0, "1011111"),
-        # I1 -> II1: no second minority decision
-        ((0,), S1[:1] + S2, 3, 1, 0, "0111111"),
-        # I1 -> II1 -> II2: tau = 2, then the first stage II column again
-        ((0, 2), S1[:1] + S2[:2] + S2[:1], 4, 1, 0, "0101"),
-        # I1 -> II1 -> III-a -> III-b: tau = 1
-        ((0, 1), S1[:1] + S2[:1] + S3A + S3B + S3B[:2], 1, 2, 1, "00111111111111"),
-    ],
+    STAGE_PATHS,
     ids=["I2", "II1", "II2", "III-b"],
 )
 def test_attack_stage_paths(positions, columns, victim, guarantee, achieved, decisions):
@@ -323,6 +328,62 @@ def test_attack_stage_paths(positions, columns, victim, guarantee, achieved, dec
     assert blob["n"] == 7
     assert (blob["victim"], blob["guarantee"], blob["achieved"]) == (victim, guarantee, achieved)
     assert blob["decisions"] == decisions
+
+
+class _RandomBitStepper(Stepper):
+    def __init__(self, rng):
+        self.rng = rng
+
+    def decide(self, column):
+        return self.rng.randint(0, 1)
+
+
+class RandomBitRule(Rule):
+    """Online test rule that decides seeded random bits, blind to the columns."""
+
+    name = "random-bits"
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def stepper(self, n, m=None):
+        return _RandomBitStepper(random.Random(self.seed))
+
+
+def _attackable(name):
+    rule = build_rule(name)
+    return rule.online and not rule.horizon_aware and rule.required_agents is None
+
+
+# the built-in rules the staged attack accepts at any n >= 7
+ATTACKABLE = [name for name in RULE_NAMES if ":" not in name and _attackable(name)]
+
+
+def test_attack_running_state_matches_recount(monkeypatch):
+    # the driver keeps utilities, n·RDS totals and the type census as it
+    # feeds columns; before every witness check they must equal a recount
+    checks = []
+    check_witnesses = _AttackDriver._check_witnesses
+
+    def recounted(driver):
+        matrix = PreferenceMatrix.from_columns(driver.columns, n_agents=driver.n)
+        assert tuple(driver.utilities) == _agreements(matrix, driver.bits)
+        assert driver.totals == _rds_totals(matrix)
+        assert [(ctype, tuple(columns)) for ctype, columns in driver.census.items()] == [
+            (ctype, entry.occurrences) for ctype, entry in type_census(matrix).items()
+        ]
+        checks.append(matrix.m)
+        check_witnesses(driver)
+
+    monkeypatch.setattr(_AttackDriver, "_check_witnesses", recounted)
+    attacks = [(ScriptedRule(path[0]), 7) for path in STAGE_PATHS]
+    attacks += [(name, n) for name in ATTACKABLE for n in range(7, 13)]
+    attacks += [(RandomBitRule(seed), n) for seed in range(5) for n in (7, 9)]
+    for rule, n in attacks:
+        checks.clear()
+        report = adaptive_attack(rule, n)
+        assert checks == list(range(1, report.instance.m + 1))
+        assert_certificate_sound(report)
 
 
 def test_attack_rejections():

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import mmsvote
-from mmsvote.cli import main
+from mmsvote.cli import _build_parser, main
 from mmsvote.model import parse_matrix
 
 
@@ -317,6 +317,26 @@ def test_search_threshold_flag(capsys):
         assert code == 2 and out == "" and "threshold must be positive" in err
 
 
+def test_search_unparsable_threshold(capsys):
+    # one usage error names the flag, whatever Fraction made of the text
+    for threshold in ("1/0", "nan", "inf", "abc", ""):
+        code, out, err = run_cli(
+            capsys, "search", "--rule", "always-0", "--agents", "3",
+            "--max-decisions", "3", f"--threshold={threshold}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --threshold takes a ratio like 3/4, not {threshold!r}\n"
+
+
+def test_search_seed_needs_sample(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--rule", "majority", "--agents", "3",
+        "--max-decisions", "3", "--seed", "3",
+    )
+    assert (code, out) == (2, "")
+    assert "seed needs sample" in err
+
+
 def test_search_sampling_flags(capsys):
     code, _, err = run_cli(
         capsys, "search", "--rule", "majority", "--agents", "3",
@@ -361,6 +381,29 @@ def test_parser_level_errors(capsys):
     capsys.readouterr()
     assert main(["search", "--rule", "majority", "--agents", "3"]) == 2
     capsys.readouterr()
+
+
+def test_reused_parser_matches_fresh(tmp_path, capsys):
+    # the parser is built once per process; parsing must leave nothing on it
+    # that changes a later call's output
+    instance = write_example(tmp_path, "jr_vs_mms")
+    calls = [
+        [],
+        ["--help"],
+        ["shares", "--input", str(instance)],
+        ["search", "--rule", "majority", "--agents", "3", "--max-decisions", "3", "--bogus"],
+        ["attack", "--rule", "majority", "--agents", "7"],
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        capsys.readouterr()
+        fresh.append(run_cli(capsys, *argv))
+    _build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0]
+    assert reused == fresh
+    assert _build_parser.cache_info().misses == 1
 
 
 # Seeded corpus of small instances; the digest pins every byte of stdout and
@@ -411,3 +454,27 @@ def test_cli_output_corpus_digest(tmp_path, capsys):
     for chunk in _corpus_chunks(tmp_path, capsys):
         digest.update(chunk)
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+# Every byte of the certificates ``attack --out`` writes and of what
+# ``verify --certificate`` prints about them, with both exit codes. Change
+# it only together with an intended change of the attack or its output.
+CERTIFICATE_DIGEST = "08dadb1c6acbf29715ce7234cd78b858cd626d960511d004232c77e4ee4389fb"
+
+CERTIFICATE_RULES = ("majority", "ptrr-generalized", "always-0", "always-minority")
+
+
+def test_attack_certificate_digest(tmp_path, capsys):
+    import hashlib
+
+    digest = hashlib.sha256()
+    cert = tmp_path / "cert.json"
+    for rule in CERTIFICATE_RULES:
+        for n in (*range(7, 13), 30):
+            code, out, _ = run_cli(capsys, "attack", "--rule", rule, "--agents", str(n),
+                                   "--out", str(cert))
+            digest.update(f"{rule} {n} attack {code}\n".encode() + out.encode())
+            digest.update(cert.read_bytes())
+            code, out, _ = run_cli(capsys, "verify", "--certificate", str(cert))
+            digest.update(f"{rule} {n} verify {code}\n".encode() + out.encode())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST

@@ -206,6 +206,10 @@ def test_exhaustive_rejections():
     for sample in (0, -3):
         with pytest.raises(ValueError, match="sample"):
             exhaustive_check("majority", 3, 2, sample=sample, seed=1)
+    # exhaustive mode draws nothing at random, so a seed there is a mistake
+    for seed in (0, 3):
+        with pytest.raises(ValueError, match="seed needs sample"):
+            exhaustive_check("majority", 3, 2, seed=seed)
     for threshold in (0, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="threshold"):
             exhaustive_check("always-0", 3, 3, threshold=threshold)
