@@ -418,8 +418,6 @@ class _AttackDriver:
         self.step = rule.stepper(n)
         self.columns: list[tuple[int, ...]] = []
         self.bits: list[int] = []
-        # (stage, column, bit), one row per fed column
-        self.log: list[tuple[str, tuple[int, ...], int]] = []
         self.specials: list[int] = []
         self.stage3_from: int | None = None
         # kept as columns are fed; the census is ordered by first occurrence
@@ -428,7 +426,7 @@ class _AttackDriver:
         self.census: dict[CanonicalType, list[int]] = {}
 
     def feed(
-        self, columns: Sequence[tuple[int, ...]], stage: str, *, until_minority: bool = False
+        self, columns: Sequence[tuple[int, ...]], *, until_minority: bool = False
     ) -> int | None:
         """Feed columns in order, updating the counts and checking the
         witnesses after each one.
@@ -454,7 +452,6 @@ class _AttackDriver:
             self.census.setdefault(_canonical(column)[0], []).append(len(self.columns))
             self.columns.append(column)
             self.bits.append(bit)
-            self.log.append((stage, column, bit))
             self._check_witnesses()
             if until_minority and bit == _minority_pref(column):
                 self.specials.append(len(self.columns) - 1)
@@ -534,24 +531,24 @@ class _AttackDriver:
         # minority decisions; ell and mu: the agents the script singles out
         n = self.n
         s1 = gen_stage1(n)
-        t = self.feed(s1, "I1", until_minority=True)
+        t = self.feed(s1, until_minority=True)  # I1
         if t is None:
             raise _ScriptStop(
                 "opening stage passed with no minority decision and no certificate"
             )
         ell = t + 1 if t <= n - 1 else None
         mu = next(a for a in range(2, n + 1) if a != ell)
-        self.feed([column for column in s1[: t - 1] for _ in range(n - 1)], "I2")
+        self.feed([column for column in s1[: t - 1] for _ in range(n - 1)])  # I2
 
         s2 = gen_stage2(n, ell, mu)
-        tau = self.feed(s2, "II1", until_minority=True)
+        tau = self.feed(s2, until_minority=True)  # II1
         if tau is not None:
-            self.feed([column for column in s2[: tau - 1] for _ in range(n - 1)], "II2")
+            self.feed([column for column in s2[: tau - 1] for _ in range(n - 1)])  # II2
 
         self.stage3_from = len(self.columns)
         s3a, s3b = gen_stage3(n, ell, mu)
-        self.feed(s3a, "III-a")
-        self.feed(s3b * (n - 1), "III-b")
+        self.feed(s3a)  # III-a
+        self.feed(s3b * (n - 1))  # III-b
         raise _ScriptStop(
             "script completed without a violation; the staged argument promises "
             "one, so this indicates an inconsistency in the attack implementation"

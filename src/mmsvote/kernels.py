@@ -18,5 +18,9 @@ def min_assignment(bundle_sums: list[list[int]]) -> int:
 
 
 def search_max_partition(counts, masks, n, cap, node_budget):
-    """Exact type-placement maximum; see ``_kernels_py``."""
+    """Exact type-placement maximum; see ``_kernels_py``.
+
+    ``cap`` only stops the search at the first placement reaching it and
+    never prunes, so every cap at or above the maximum gives the same
+    ``best`` and composition."""
     return _kernels_py.search_max_partition(counts, masks, n, cap, node_budget)

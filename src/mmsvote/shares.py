@@ -23,6 +23,11 @@ partial placement. The enumeration core lives in ``mmsvote.kernels``;
 exceeding the configured node budget raises, it never degrades to an
 approximation.
 
+The search stops at a certified cap on the share: floor(RDS) of the
+non-consensus part, or one lower where the agreement totals rule that out
+(``_items_cap``). A share attaining the lower cap skips its proof of
+optimality; the share itself and ``uniform_bound`` do not change.
+
 The share depends on the agreement structure only up to a relabelling of
 the agents: renaming them permutes the columns of every bundle-sum
 matrix, and the permutation minimum absorbs that. Every share query reads
@@ -186,8 +191,28 @@ def _agent_items(
 
 
 def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
-    """floor of the non-consensus part of RDS: the solver's stopping cap."""
-    return sum(count * bin(mask).count("1") for count, mask in items) // n
+    """The solver's stopping cap: floor(T/n), T being n times the
+    non-consensus RDS, one lower where agent a's agreement totals X_a rule
+    it out (like T, they do not depend on the placement).
+
+    Write T = n*cap + r. For bundle sums B and an assignment s, the shifts
+    s(j) + k mod n cover each (bundle, agent) cell once, so their sums add
+    to T, and a value >= cap leaves each shift family an excess of r.
+    Swapping agents a, a' in bundles j, j' moves a sum by E(j) - E(j'),
+    where E(j) = B[j][a'] - B[j][a] sums over j to X_a' - X_a. At r = 0
+    every sum is cap, so E is constant and X_a' = X_a mod n. At r = 1, E
+    takes two adjacent values, the upper on m bundles, and each of the
+    m(n - m)(n - 2)! disjoint swap pairs holds one of the (n - 1)! sums of
+    cap + 1; so m is 0, 1, n - 1 or n, and X_a' - X_a = m is 0 or +-1 mod n.
+    """
+    agree = [sum(count for count, mask in items if mask >> a & 1) for a in range(n)]
+    cap, r = divmod(sum(agree), n)
+    if r <= 1:
+        allowed = (0,) if r == 0 else (0, 1, n - 1)
+        residues = {x % n for x in agree}
+        if any((x - y) % n not in allowed for x in residues for y in residues):
+            return cap - 1
+    return cap
 
 
 def _relabel(n: int, items: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:

@@ -38,6 +38,26 @@ def naive_min_assignment(B):
     return min(sum(B[j][p[j]] for j in range(n)) for p in permutations(range(n)))
 
 
+def reference_share(counts, masks, n):
+    """The share of solver items by brute force: every composition of
+    each type's count into n labelled bundles, with no symmetry pruning
+    and no stopping cap, each placement valued by ``naive_min_assignment``.
+    Bit a of ``masks[t]`` set means agent a collects a type-t decision."""
+    splits = [
+        [p for p in product(range(c + 1), repeat=n) if sum(p) == c] for c in counts
+    ]
+    best = 0
+    for placement in product(*splits):
+        B = [[0] * n for _ in range(n)]
+        for split, mask in zip(placement, masks):
+            for b in range(n):
+                for a in range(n):
+                    if mask >> a & 1:
+                        B[b][a] += split[b]
+        best = max(best, naive_min_assignment(B))
+    return best
+
+
 def naive_mnw(matrix):
     """Scan all 2^m outcomes; maximize (count of positive utilities,
     product of positive utilities), breaking exact ties by the

@@ -3,9 +3,9 @@ the permutation minimum against brute force and, past its reach, against
 metamorphic relations; the composition successor against a sorted
 (ascending) brute-force enumeration; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
-accounting and budget behavior); and the node counts of the ``shares``
-benchmark workload and of a batch of small 3- and 4-agent instances,
-pinned, both on the raw solver items and over the relabelling classes
+accounting and budget behavior); that the stopping cap only stops the
+search; and the node counts of the ``shares`` benchmark workload and of
+a batch of small 3- and 4-agent instances, pinned, both on the raw solver items and over the relabelling classes
 the solver actually searches, with the augmenting steps of the former
 and the nodes of one deep 7-agent search.
 """
@@ -236,12 +236,12 @@ SHARES_WORKLOAD = [
     (
         "6 12\n110100000100\n000110111000\n001010010100\n011011011001\n"
         "100101011110\n111000001111\n",
-        [(5, 1766), (5, 2595), (6, 382), (5, 1502), (5, 1395), (5, 2578)],
+        [(5, 1766), (5, 2595), (6, 223), (5, 1502), (5, 1395), (5, 2578)],
     ),
     (
         "7 10\n0100101100\n1101110010\n1011011111\n0111011111\n0100000000\n"
         "1101110010\n0111111111\n",
-        [(3, 652), (5, 144), (3, 670), (4, 216), (2, 822), (5, 144), (4, 226)],
+        [(3, 652), (5, 73), (3, 670), (4, 216), (2, 822), (5, 73), (4, 226)],
     ),
     (
         "8 10\n1011101100\n1010101011\n0001100001\n1011100101\n0000100001\n"
@@ -301,17 +301,17 @@ def test_shares_workload_nodes_pure():
             searched[(matrix.n, items)] = nodes
     # distinct raw searches: this pins the kernel, not the solver's cache,
     # which runs one search per relabelled key (next test)
-    assert len(searched) == 24 and sum(searched.values()) == 31_616
+    assert len(searched) == 24 and sum(searched.values()) == 31_386
 
 
 def test_shares_workload_relabelled_searches():
     searched = relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD)
-    assert len(searched) == 22 and sum(searched.values()) == 25_473
+    assert len(searched) == 22 and sum(searched.values()) == 25_191
 
 
 def test_shares_workload_augmentations(monkeypatch):
     # the primal pre-test prunes most nodes before any augmenting step:
-    # 5,851 calls for the 22 searches, against 16,618 without it
+    # 5,793 calls for the 22 searches, against 16,396 without it
     keys = list(relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD))
     calls = 0
     augment = _kernels_py._augment
@@ -322,16 +322,16 @@ def test_shares_workload_augmentations(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(_kernels_py, "_augment", counted)
-    assert sum(items_search(*key)[1] for key in keys) == 25_473
-    assert calls == 5_851
+    assert sum(items_search(*key)[1] for key in keys) == 25_191
+    assert calls == 5_793
 
 
 def test_stage1_tripled_search_pinned():
     # gen_stage1(7) * 3, a 7x21 instance, agent index 1: a deep search
-    # (cap 14) that the workloads do not reach
+    # (certified cap 13) that the workloads do not reach
     matrix = PreferenceMatrix.from_columns(gen_stage1(7) * 3)
     items = agent_items(matrix, 1)[0]
-    assert shares._items_cap(7, items) == 14
+    assert shares._items_cap(7, items) == 13
     assert items_search(7, items) == (12, 107_893)
 
 
@@ -365,6 +365,24 @@ def test_search_long_runs_match_reference(n, data):
     counts, masks, cap, budget = data.draw(search_case(n, count_max=12))
     expected = reference_search_max_partition(counts, masks, n, cap, budget)
     assert _kernels_py.search_max_partition(counts, masks, n, cap, budget) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_search_cap_only_stops(data):
+    # any cap from the optimum up to floor(T/n) only decides where the
+    # search stops: the same best, composition and completion, and no
+    # fewer nodes for a higher cap
+    n = data.draw(st.integers(2, 5))
+    counts, masks, _, _ = data.draw(search_case(n))
+    top = sum(c * m.bit_count() for c, m in zip(counts, masks)) // n
+    best, comp, nodes, done = kernels.search_max_partition(counts, masks, n, top, 10**6)
+    assert done and best <= top
+    for cap in range(top - 1, best - 1, -1):
+        got = kernels.search_max_partition(counts, masks, n, cap, 10**6)
+        assert got[:2] == (best, comp) and got[3]
+        assert got[2] <= nodes
+        nodes = got[2]
 
 
 @st.composite
@@ -403,7 +421,7 @@ def test_small_instances_nodes_pinned():
             searches += 1
             nodes += used
             total_share += share
-    assert (searches, nodes, total_share) == (1047, 8_348, 2560)
+    assert (searches, nodes, total_share) == (1047, 4_557, 2560)
 
 
 def brute_force_class(n, items):
@@ -421,7 +439,7 @@ def brute_force_class(n, items):
 def test_small_instances_relabelled_searches():
     matrices = list(small_instances())
     searched = relabelled_searches(matrices)
-    assert len(searched) == 281 and sum(searched.values()) == 3_692
+    assert len(searched) == 281 and sum(searched.values()) == 1_815
     # at n <= 4 the signatures tell every pair of classes apart: one
     # search per relabelling class, no more
     classes = set()

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,12 @@ from mmsvote.shares import (
     uniform_bound,
 )
 from mmsvote.verify import mnw_t_sweep
-from oracles import canonical_census_multisets, naive_mms_adapt, random_matrix
+from oracles import (
+    canonical_census_multisets,
+    naive_mms_adapt,
+    random_matrix,
+    reference_share,
+)
 from test_kernels import SHARES_WORKLOAD, small_instances
 
 EXAMPLE_3x9 = PreferenceMatrix.from_rows(
@@ -121,6 +128,49 @@ def test_mms_matches_naive_oracle_random():
         M = random_matrix(rng, 5, 4)
         for i in range(5):
             assert mms_adapt(M, i) == naive_mms_adapt(M, i), M.to_text()
+
+
+def test_certified_cap_against_reference_share():
+    # agent 0's item multisets (masks hold agent 0 and are not everyone):
+    # all of them at n = 3 up to 6 decisions, a seeded sample at n = 4, 5
+    cases = []
+    for size in range(7):
+        for combo in itertools.combinations_with_replacement((1, 3, 5), size):
+            cases.append((3, combo))
+    rng = random.Random(2603)
+    for n, draws in ((4, 150), (5, 12)):
+        sides = [mask for mask in range(1, 2**n - 1) if mask & 1]
+        for _ in range(draws):
+            cases.append((n, tuple(rng.choice(sides) for _ in range(rng.randint(1, 5)))))
+    dropped = set()
+    for n, combo in cases:
+        items = sorted(Counter(combo).items())
+        masks = tuple(mask for mask, _ in items)
+        counts = tuple(count for _, count in items)
+        expected = reference_share(counts, masks, n)
+        # agent a votes 1 on a decision exactly when its mask holds a
+        columns = [tuple(mask >> a & 1 for a in range(n)) for mask in combo]
+        matrix = PreferenceMatrix.from_columns(columns, n_agents=n)
+        assert mms_adapt(matrix, 0) == expected, (n, combo)
+        cap = shares._items_cap(n, tuple(zip(counts, masks)))
+        assert cap >= expected, (n, combo)
+        total = sum(count * mask.bit_count() for count, mask in zip(counts, masks))
+        if cap < total // n:
+            dropped.add(total % n)
+    # the table holds both residues the cap is lowered on
+    assert dropped == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "rows, share", [(("11", "10", "01"), 0), (("00", "00", "11", "10"), 0)]
+)
+def test_certified_cap_below_floor_rds(rows, share):
+    # 3x2 with r = 0 and 4x2 with r = 1: agent index 1 cannot reach
+    # floor(RDS) = 1
+    M = PreferenceMatrix.from_rows([tuple(map(int, row)) for row in rows])
+    items = shares._agent_items(M.n, shares._census(M)[1], 1)
+    assert uniform_bound(M, 1) == 1
+    assert shares._items_cap(M.n, items) == share == mms_adapt(M, 1)
 
 
 def test_share_dominance_chain_random():
