@@ -14,23 +14,41 @@ The two entry points:
   advances one row in place to its successor in ascending lexicographic
   order, most even split first, so a node costs no call per bundle. Even
   splits are good placements, and good incumbents found early prune more
-  of the search. The search carries one
-  assignment state from node to node (the dynamic Hungarian method of
-  Mills-Tettey, Stentz & Dias 2007): a node only raises the entries of a
-  few bundles, so it re-augments just the bundles whose matched entry
-  rose, instead of solving from scratch. Before that, a primal pre-test
-  tries to prune the node for free: any permutation's sum bounds the
-  permutation minimum from above, and the parent's matching and its
-  single swaps are sums read off the parent's state in O(n) integer
-  steps per raised bundle. When one of them already falls to the
-  pruning bar, the node is dropped without touching the state.
+  of the search. Two paths walk the same tree:
 
-Both run on one shortest-augmenting-path step, ``_augment``.
+  - Up to ``LANE_AGENTS`` = 6 agents (n! <= 720), ``_search_lanes`` packs
+    every permutation's sum into one int, a lane of a few bits each
+    (SIMD within a register, Lamport 1975). A node adds its row to the
+    parent's int, and the pruning bar "every sum >= k" is one add and one
+    mask, so a node costs a few integer operations and nothing is undone
+    on backtracking. On the ``sweep`` benchmark's 819 searches (seed 1,
+    3 and 4 agents) this took 0.054 s down to 0.021 s, and on the six
+    6-agent ``shares`` searches 0.021 s to 0.013 s (Python 3.11, 2 vCPUs).
+  - From 7 agents, where the 5,040 lanes ran about 3.5 times slower,
+    ``_search_assignment`` carries one assignment state from node to node
+    (the dynamic Hungarian method of Mills-Tettey, Stentz & Dias 2007): a
+    node only raises the entries of a few bundles, so it re-augments just
+    the bundles whose matched entry rose, instead of solving from
+    scratch. Before that, a primal pre-test tries to prune the node for
+    free: any permutation's sum bounds the permutation minimum from
+    above, and the parent's matching and its single swaps are sums read
+    off the parent's state in O(n) integer steps per raised bundle. When
+    one of them already falls to the pruning bar, the node is dropped
+    without touching the state.
+
+The Hungarian method runs on one shortest-augmenting-path step,
+``_augment``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
+from itertools import permutations
+
+# the most agents whose n! permutation sums the share search packs into
+# one integer; see ``search_max_partition``
+LANE_AGENTS = 6
 
 
 def _augment(
@@ -216,6 +234,149 @@ def search_max_partition(
     Even splits are good placements, and good incumbents found early
     prune more.
 
+    A node is pruned when its value plus the undecided decisions' count
+    cannot exceed ``best``, read afresh at every node. ``cap`` is a
+    certified upper bound on the value; reaching it stops the search.
+    ``node_budget`` bounds the number of per-type compositions applied.
+    Returns ``(best, composition, nodes, completed)`` where
+    ``composition[t][j]`` says how many type-t decisions the best
+    placement puts in bundle j, and ``completed`` is False when the
+    budget ran out (callers must then discard ``best``).
+
+    Up to ``LANE_AGENTS`` agents (n! <= 720) the search keeps every
+    permutation's sum in one packed integer (``_search_lanes``); above,
+    it keeps one dynamic assignment state (``_search_assignment``). Both
+    walk the same tree and return the same tuple. On the ``shares``
+    benchmark's 7-agent searches the lanes ran about 3.5 times slower
+    than the assignment state, so the cut-off is a constant on n.
+    """
+    if not counts:
+        return 0, (), 0, True
+    if n <= LANE_AGENTS:
+        return _search_lanes(counts, masks, n, cap, node_budget)
+    return _search_assignment(counts, masks, n, cap, node_budget)
+
+
+@lru_cache(maxsize=64)
+def _lane_table(n: int, w: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lane layout for n agents and lanes of w bits: ``ones``, a 1 at
+    the bottom of every lane, and ``E[b][a]``, a 1 at the bottom of every
+    lane whose permutation gives bundle b to agent a. Lane k belongs to
+    the k-th permutation of ``itertools.permutations(range(n))``."""
+    bits = [[0] * n for _ in range(n)]
+    lane = 1
+    for perm in permutations(range(n)):
+        for b, a in enumerate(perm):
+            bits[b][a] |= lane
+        lane <<= w
+    return (lane - 1) // ((1 << w) - 1), tuple(map(tuple, bits))
+
+
+@lru_cache(maxsize=1024)
+def _lane_rows(n: int, w: int, mask: int) -> tuple[int, ...]:
+    """``INC[b]``: a 1 in every lane whose permutation gives bundle b to
+    an agent of ``mask``, so one decision of that type in bundle b adds
+    ``INC[b]`` to the packed sums."""
+    E = _lane_table(n, w)[1]
+    agents = [a for a in range(n) if mask >> a & 1]
+    return tuple(sum(E[b][a] for a in agents) for b in range(n))
+
+
+def _search_lanes(
+    counts: tuple[int, ...],
+    masks: tuple[int, ...],
+    n: int,
+    cap: int,
+    node_budget: int,
+) -> tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]:
+    """``search_max_partition`` with every permutation's sum in one int.
+
+    The state ``S`` holds n! lanes of ``w = sum(counts).bit_length() + 2``
+    bits; lane k is the sum of the k-th bundle-to-agent permutation, at
+    most ``sum(counts)``, so no lane carries into the next (SIMD within
+    a register, Lamport 1975). Placing a row adds ``row[b] * INC[t][b]``
+    over the bundles, and a child gets its own ``S``, so nothing is
+    undone on backtracking. The prune test "value + rest > best" is
+    "every lane >= k" for ``k = best - rest + 1``. Both a lane and k are
+    at most ``2^(w-2)``, so adding ``2^(w-1) - k`` to every lane leaves
+    each lane in range and sets its top bit exactly when the lane is at
+    least k: the test is one add and one mask, skipped when k <= 0. A
+    leaf is reached only with its value above ``best``; its exact value
+    steps k up from ``best + 1`` until some lane falls short.
+    """
+    T = len(counts)
+    w = sum(counts).bit_length() + 2
+    ones = _lane_table(n, w)[0]
+    high = ones << (w - 1)
+    incs = [_lane_rows(n, w, m) for m in masks]
+    suffix = [0] * (T + 1)
+    for t in range(T - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + counts[t]
+
+    comp = [[0] * n for _ in range(T)]
+    best = -1
+    best_comp: tuple[tuple[int, ...], ...] | None = None
+    nodes = 0
+    out_of_budget = False
+
+    def place(t: int, classes: tuple[int, ...], S: int) -> bool:
+        """``S`` packs the permutation sums of types before t.
+
+        Returns True when the search should unwind (cap hit or budget out).
+        """
+        nonlocal best, best_comp, nodes, out_of_budget
+        row = comp[t]
+        inc = incs[t]
+        rest = suffix[t + 1]
+        leaf = t + 1 == T
+        for _ in _compositions(row, counts[t], classes):
+            nodes += 1
+            if nodes > node_budget:
+                out_of_budget = True
+                return True
+            child = S
+            for b in range(n):
+                c = row[b]
+                if c:
+                    child += c * inc[b]
+            k = best - rest + 1
+            if k > 0 and (child + high - k * ones) & high != high:
+                continue
+            if leaf:
+                value = best + 1
+                while (child + high - (value + 1) * ones) & high == high:
+                    value += 1
+                best = value
+                best_comp = tuple(tuple(r) for r in comp)
+                if best >= cap:
+                    return True
+                continue
+            # counts never rise inside a class, so refining by
+            # (class, count) keeps every class a contiguous run
+            refined: dict[tuple[int, int], int] = {}
+            new_classes = []
+            for b in range(n):
+                key = (classes[b], row[b])
+                new_classes.append(refined.setdefault(key, len(refined)))
+            if place(t + 1, tuple(new_classes), child):
+                return True
+        return False
+
+    place(0, tuple([0] * n), 0)
+    if out_of_budget:
+        return best, None, nodes, False
+    return best, best_comp, nodes, True
+
+
+def _search_assignment(
+    counts: tuple[int, ...],
+    masks: tuple[int, ...],
+    n: int,
+    cap: int,
+    node_budget: int,
+) -> tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]:
+    """``search_max_partition`` on one dynamic assignment state.
+
     Each node's permutation minimum comes from an assignment state (bundle
     and agent potentials, matching) kept for the current bundle sums: it
     starts tight on the identity for the all-zero sums, a node unmatches
@@ -224,27 +385,17 @@ def search_max_partition(
     value is its parent's plus the rises the re-augmentations return, and
     a leaf reuses its node's value.
 
-    A node is pruned when its value plus the undecided decisions' count
-    cannot exceed ``best``. Before the row is applied, a primal pre-test
-    checks that bar on an upper bound of the value: the least sum, on the
-    new bundle sums, of the parent's matching and of each permutation
-    that swaps the bundles of an agent whose matched entry rises with
-    those of one other agent. It takes O(n) integer steps per such agent
-    and changes no state, so most pruned nodes cost no row update, no
-    saved state and no ``_augment``. The bound is never below the value,
-    so it prunes only nodes the exact test would prune: nodes, ``best``
-    and the winning composition are the same with or without it.
-
-    ``cap`` is a certified upper bound on the value; reaching it stops the
-    search. ``node_budget`` bounds the number of per-type compositions
-    applied. Returns ``(best, composition, nodes, completed)`` where
-    ``composition[t][j]`` says how many type-t decisions the best
-    placement puts in bundle j, and ``completed`` is False when the
-    budget ran out (callers must then discard ``best``).
+    Before the row is applied, a primal pre-test checks the pruning bar
+    on an upper bound of the value: the least sum, on the new bundle
+    sums, of the parent's matching and of each permutation that swaps the
+    bundles of an agent whose matched entry rises with those of one other
+    agent. It takes O(n) integer steps per such agent and changes no
+    state, so most pruned nodes cost no row update, no saved state and no
+    ``_augment``. The bound is never below the value, so it prunes only
+    nodes the exact test would prune: nodes, ``best`` and the winning
+    composition are the same with or without it.
     """
     T = len(counts)
-    if T == 0:
-        return 0, (), 0, True
     B = [[0] * n for _ in range(n)]
     # the assignment state of the current B: potentials and matching
     u = [0] * n

@@ -549,6 +549,13 @@ def _eta_quarters(solo: Sequence[int], ties: int, consensus: int) -> tuple[int, 
     return tuple(3 * (total_alpha - s) + s + rest for s in solo)
 
 
+@lru_cache(maxsize=4096)
+def _quarter(q: int) -> Fraction:
+    """``Fraction(q, 4)``, one shared instance per q: thresholds repeat from
+    run to run, and a Fraction is immutable."""
+    return Fraction(q, 4)
+
+
 def deferred_ambiguity(
     matrix: PreferenceMatrix,
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[Fraction, ...]]:
@@ -596,7 +603,7 @@ def deferred_ambiguity(
     utilities = _agreements(matrix, outcome)
     # thresholds and utilities are compared in quarters, as integers
     eta4 = _eta_quarters(solo, ties - len(removed), consensus)
-    eta = tuple(Fraction(q, 4) for q in eta4)
+    eta = tuple(map(_quarter, eta4))
     short = [i for i in range(4) if 4 * utilities[i] < eta4[i]]
     if len(short) > 1:
         raise InternalInconsistencyError(

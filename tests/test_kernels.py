@@ -3,8 +3,9 @@ the permutation minimum against brute force and, past its reach, against
 metamorphic relations; the composition successor against a sorted
 (ascending) brute-force enumeration; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
-accounting and budget behavior); that the stopping cap only stops the
-search; and the node counts of the ``shares`` benchmark workload and of
+accounting and budget behavior); the packed-lane search path against
+the assignment path up to 6 agents, and which path each n takes; that
+the stopping cap only stops the search; and the node counts of the ``shares`` benchmark workload and of
 a batch of small 3- and 4-agent instances, pinned, both on the raw solver items and over the relabelling classes
 the solver actually searches, with the augmenting steps of the former
 and the nodes of one deep 7-agent search.
@@ -251,13 +252,11 @@ SHARES_WORKLOAD = [
 ]
 
 
-def items_search(n, items):
+def items_search(n, items, search=_kernels_py.search_max_partition):
     """(best, nodes) of the kernel on solver items, run to completion."""
     counts = tuple(c for c, _ in items)
     masks = tuple(m for _, m in items)
-    best, _, nodes, done = _kernels_py.search_max_partition(
-        counts, masks, n, shares._items_cap(n, items), 10**7
-    )
+    best, _, nodes, done = search(counts, masks, n, shares._items_cap(n, items), 10**7)
     assert done
     return best, nodes
 
@@ -309,21 +308,41 @@ def test_shares_workload_relabelled_searches():
     assert len(searched) == 22 and sum(searched.values()) == 25_191
 
 
-def test_shares_workload_augmentations(monkeypatch):
-    # the primal pre-test prunes most nodes before any augmenting step:
-    # 5,793 calls for the 22 searches, against 16,396 without it
-    keys = list(relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD))
-    calls = 0
+def counting_augment(monkeypatch):
+    """Count the calls to ``_augment`` from here on: a list of one count."""
+    calls = [0]
     augment = _kernels_py._augment
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return augment(*args)
 
     monkeypatch.setattr(_kernels_py, "_augment", counted)
-    assert sum(items_search(*key)[1] for key in keys) == 25_191
-    assert calls == 5_793
+    return calls
+
+
+def test_shares_workload_augmentations(monkeypatch):
+    # the primal pre-test prunes most nodes before any augmenting step:
+    # 5,793 calls for the 22 searches on the assignment path, against
+    # 16,396 without it; the public entry, which sends the 6-agent keys to
+    # the lane path, visits the same 25,191 nodes
+    searched = relabelled_searches(parse_matrix(text) for text, _ in SHARES_WORKLOAD)
+    calls = counting_augment(monkeypatch)
+    assignment = {key: items_search(*key, _kernels_py._search_assignment)[1] for key in searched}
+    assert assignment == searched and sum(searched.values()) == 25_191
+    assert calls[0] == 5_793
+
+
+def test_search_path_selection(monkeypatch):
+    # up to 6 agents the search packs the permutation sums and never
+    # augments; from 7 agents it keeps the assignment state
+    calls = counting_augment(monkeypatch)
+    items = agent_items(parse_matrix(SHARES_WORKLOAD[1][0]), 0)[0]
+    assert items_search(6, items, kernels.search_max_partition) == (5, 1766)
+    assert calls[0] == 0
+    items = agent_items(parse_matrix(SHARES_WORKLOAD[0][0]), 6)[0]
+    assert items_search(7, items, kernels.search_max_partition) == (8, 388)
+    assert calls[0] > 0
 
 
 def test_stage1_tripled_search_pinned():
@@ -383,6 +402,43 @@ def test_search_cap_only_stops(data):
         assert got[:2] == (best, comp) and got[3]
         assert got[2] <= nodes
         nodes = got[2]
+
+
+@st.composite
+def lane_case(draw):
+    # random items for 1-6 agents; about half the cases put the decision total
+    # on a lane-width edge, 2^k - 1 or 2^k, where the packed lanes widen
+    n = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 4))
+    edges = [e for e in (1, 2, 3, 4, 7, 8, 15, 16) if T <= e <= (16 if n <= 4 else 8)]
+    total = draw(st.one_of(st.sampled_from(edges), st.integers(T, 3 * T)))
+    counts = [1] * T
+    for t in draw(st.lists(st.integers(0, T - 1), min_size=total - T, max_size=total - T)):
+        counts[t] += 1
+    masks = tuple(draw(st.lists(st.integers(0, 2**n - 1), min_size=T, max_size=T)))
+    return n, tuple(counts), masks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=lane_case(), data=st.data())
+def test_search_lanes_match_assignment(case, data):
+    # the two search paths, called directly, on every cap from the optimum
+    # to floor(T/n) and under a budget that runs out mid-search
+    n, counts, masks = case
+    top = sum(c * m.bit_count() for c, m in zip(counts, masks)) // n
+    got = _kernels_py._search_lanes(counts, masks, n, top, 10**6)
+    assert got == _kernels_py._search_assignment(counts, masks, n, top, 10**6)
+    best, _, nodes, done = got
+    assert done
+    for cap in range(best, top):
+        assert _kernels_py._search_lanes(counts, masks, n, cap, 10**6) == (
+            _kernels_py._search_assignment(counts, masks, n, cap, 10**6)
+        )
+    if nodes > 1:
+        budget = data.draw(st.integers(1, nodes - 1))
+        got = _kernels_py._search_lanes(counts, masks, n, top, budget)
+        assert got == _kernels_py._search_assignment(counts, masks, n, top, budget)
+        assert not got[3]
 
 
 @st.composite

@@ -284,6 +284,16 @@ def test_eta_examples():
     assert deferred_ambiguity(M)[3] == (Fraction(3),) * 4
 
 
+def test_deferred_thresholds_are_shared_fractions():
+    # each threshold is a Fraction, in the returned tuple and in the run's
+    # details; equal quarters are one memoized instance
+    M = PreferenceMatrix.from_columns([(1, 0, 1, 1)] * 3)
+    eta = deferred_ambiguity(M)[3]
+    thresholds = run_rule("deferred4", M).details["thresholds"]
+    assert thresholds == eta and all(type(x) is Fraction for x in eta + thresholds)
+    assert eta[0] is eta[2] is thresholds[3]
+
+
 def test_standard_pattern_utility_matches_run():
     rng = random.Random(23)
     for _ in range(60):
