@@ -27,7 +27,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import CanonicalType, Partition, PreferenceMatrix, _as_bits, _canonical, parse_matrix
+from .model import (
+    CanonicalType,
+    Partition,
+    PreferenceMatrix,
+    _agreements,
+    _as_bits,
+    _canonical,
+    parse_matrix,
+)
 from .rules import _RULE_FACTORIES, Rule, RuleTranscript, build_rule
 from .shares import partition_guarantee
 
@@ -350,7 +358,7 @@ class ViolationCertificate(_Transcribed):
                 f"the instance has {instance.n}"
             )
         return cls(
-            transcript=RuleTranscript.from_outcome(rule_name, instance, outcome),
+            transcript=RuleTranscript(rule_name, instance, outcome, _agreements(instance, outcome)),
             victim=victim - 1,
             witness=witness,
             guarantee=guarantee,

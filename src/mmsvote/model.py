@@ -45,7 +45,6 @@ __all__ = [
     "Partition",
     "canonicalize",
     "type_census",
-    "n3_counts",
     "utility",
     "parse_matrix",
     "parse_outcome",
@@ -245,12 +244,6 @@ class CanonicalType:
             raise ValueError(f"type {self} has no strict minority")
         return self._minority_bit
 
-    @property
-    def minority(self) -> tuple[int, ...]:
-        """0-based agents on the minority side of a split type."""
-        b = self.minority_bit
-        return tuple(i for i, x in enumerate(self.bits) if x == b)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -331,26 +324,6 @@ def type_census(matrix: PreferenceMatrix) -> Mapping[CanonicalType, CensusEntry]
     )
     object.__setattr__(matrix, "_census", census)
     return census
-
-
-def n3_counts(matrix: PreferenceMatrix) -> tuple[tuple[int, int, int], int]:
-    """Per-agent odd-one-out counts for a 3-agent instance.
-
-    Returns ``(solo, consensus)`` where ``solo[i]`` is the number of
-    decisions on which agent i disagrees with the other two, and
-    ``consensus`` counts the unanimous decisions. Every 3-agent column is
-    one or the other.
-    """
-    if matrix.n != 3:
-        raise ValueError(f"n3_counts needs n=3, got n={matrix.n}")
-    solo = [0, 0, 0]
-    consensus = 0
-    for ctype, entry in type_census(matrix).items():
-        if ctype.kind == "consensus":
-            consensus += entry.count
-        else:
-            solo[ctype.minority[0]] += entry.count
-    return (solo[0], solo[1], solo[2]), consensus
 
 
 def utility(matrix: PreferenceMatrix, outcome: Sequence[int], i: int) -> int:

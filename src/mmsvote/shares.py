@@ -31,13 +31,16 @@ optimality; the share itself and ``uniform_bound`` do not change.
 The share depends on the agreement structure only up to a relabelling of
 the agents: renaming them permutes the columns of every bundle-sum
 matrix, and the permutation minimum absorbs that. Every share query reads
-the matrix's census of non-consensus types (canonical bits with counts,
-sorted) and builds the agents' solver items from it. The share queries
-search each agent's relabelled items: the items are renamed by an
-invariant signature (the refinement step of canonical labelling, McKay
-& Piperno 2014), so agents whose items differ only by agent labels are
-mostly searched once. ``mms_partition`` searches agent i's own items
-instead, so its witness needs no mapping back. Two caches, both keyed
+the matrix's census of non-consensus types (the bitmask of each type's
+canonical ones with its count, sorted). Agent i's solver items are that
+census seen from agent i: one ``(count, mask)`` item per type, the mask
+holding the agents on agent i's side, and no two types give the same
+mask. The share queries search each agent's relabelled items: the agents
+are renamed by an invariant signature (the refinement step of canonical
+labelling, McKay & Piperno 2014) and the items sorted once, so agents
+whose items differ only by agent labels are mostly searched once.
+``mms_partition`` searches agent i's own items instead, by descending
+count, then mask, so its witness needs no mapping back. Two caches, both keyed
 with the node budget, hold the results: the cache of those searches,
 keyed by their items, and ``mms_adapt_all``'s memo of every agent's
 share, less the consensus columns, on the sorted census, so matrices
@@ -58,7 +61,6 @@ from mmsvote import kernels
 from mmsvote.model import (
     Partition,
     PreferenceMatrix,
-    n3_counts,
     type_census,
 )
 
@@ -157,40 +159,38 @@ def uniform_bound(matrix: PreferenceMatrix, i: int) -> int:
     return _rds_totals(matrix)[i] // matrix.n
 
 
-def _census(matrix: PreferenceMatrix) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
+def _census(matrix: PreferenceMatrix) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The consensus count and the non-consensus types of the matrix's
-    census as ``(bits, count, ones)`` triples sorted by bits, where
-    ``ones`` is the bitmask of the agents whose canonical bit is 1: the
-    agreement structure the shares depend on, whatever the column order
-    and orientation."""
+    census as sorted ``(ones, count)`` pairs, ``ones`` being the bitmask
+    of the agents whose canonical bit is 1: the agreement structure the
+    shares depend on, whatever the column order and orientation."""
     consensus = 0
     types = []
     for ctype, entry in type_census(matrix).items():
         if ctype.kind == "consensus":
             consensus += entry.count
         else:
-            types.append((ctype.bits, entry.count, ctype._mask))
+            types.append((ctype._mask, entry.count))
     types.sort()
     return consensus, tuple(types)
 
 
-def _agent_items(
-    n: int, types: Sequence[tuple[tuple, int, int]], i: int
-) -> tuple[tuple[int, int], ...]:
+def _agent_items(n: int, types: Sequence[tuple[int, int]], i: int) -> list[tuple[int, int]]:
     """Agent i's solver items for non-consensus types given as ``_census``
-    triples: ``(count, mask)`` per agreement mask (the agents on agent
-    i's side of a type), by descending count, then by mask. Types with
-    equal masks are indistinguishable to every agreement term of the
-    agent's game."""
+    pairs, in their order: ``(count, mask)`` per type, ``mask`` being the
+    agents on agent i's side of it.
+
+    Distinct types give distinct masks. With agent i on the ones side of
+    both, equal masks are equal ``ones``; on the zeros side of both,
+    equal complements are. With i on the ones side of one type only, its
+    ``ones`` would be the complement of the other's, which puts agent 0
+    in one of them, and no canonical type has agent 0 in ``ones``.
+    """
     everyone = (1 << n) - 1
-    counts: dict[int, int] = {}
-    for bits, count, ones in types:
-        mask = ones if bits[i] else everyone ^ ones
-        counts[mask] = counts.get(mask, 0) + count
-    return tuple(sorted(((c, mask) for mask, c in counts.items()), key=lambda cm: (-cm[0], cm[1])))
+    return [(count, ones if ones >> i & 1 else everyone ^ ones) for ones, count in types]
 
 
-def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
+def _items_cap(n: int, items: Sequence[tuple[int, int]]) -> int:
     """The solver's stopping cap: floor(T/n), T being n times the
     non-consensus RDS, one lower where agent a's agreement totals X_a rule
     it out (like T, they do not depend on the placement).
@@ -215,7 +215,7 @@ def _items_cap(n: int, items: tuple[tuple[int, int], ...]) -> int:
     return cap
 
 
-def _relabel(n: int, items: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+def _relabel(n: int, items: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Rename the agents so that items equal up to agent labels tend to
     meet in one key.
 
@@ -223,7 +223,8 @@ def _relabel(n: int, items: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int
     mask) over the items whose mask contains it, an invariant of the
     relabelling; agents are renamed in the order of (signature, index),
     every mask is rewritten under the new names, and the items are sorted
-    again by descending count, then mask.
+    by descending count, then mask, so the key does not depend on the
+    order the items come in.
 
     Renaming agents permutes the columns of every bundle-sum matrix, which
     the permutation minimum absorbs, so any renaming keeps the share and
@@ -271,8 +272,8 @@ def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
     consensus, types = _census(matrix)
-    items = _agent_items(n, types, i)
-    return consensus + _search_class(n, _relabel(n, items), effective_budget())[0]
+    items = _relabel(n, _agent_items(n, types, i))
+    return consensus + _search_class(n, items, effective_budget())[0]
 
 
 def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
@@ -284,7 +285,7 @@ def mms_adapt_all(matrix: PreferenceMatrix) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=65536)
-def _census_bests(n: int, types: tuple[tuple[tuple, int, int], ...], budget: int):
+def _census_bests(n: int, types: tuple[tuple[int, int], ...], budget: int):
     """Every agent's share, less the consensus columns, for the sorted
     non-consensus census ``types``. Each agent's items go through the
     cached search of their relabelled class."""
@@ -299,29 +300,26 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
 
     The witness is the first optimum in the solver's canonical
     (symmetry-pruned) enumeration order of agent i's own items, not
-    relabelled; consensus columns all sit in the first bundle. Each
-    item's columns are those of the census types with its mask, type by
-    type in order of first occurrence, so the witness may differ from
-    the one earlier versions returned; any optimum is a valid witness.
-    ``partition_guarantee`` of the result equals the share.
+    relabelled, by descending count, then mask; consensus columns all sit
+    in the first bundle, and each item's columns are those of its census
+    type. ``partition_guarantee`` of the result equals the share.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
-    _, types = _census(matrix)
-    items = _agent_items(n, types, i)
-    _, comp = _search_class(n, items, effective_budget())
     everyone = (1 << n) - 1
     bundles: list[list[int]] = [[] for _ in range(n)]
-    columns: dict[int, list[int]] = {}
+    placed = []
     for ctype, entry in type_census(matrix).items():
         if ctype.kind == "consensus":
             bundles[0].extend(entry.occurrences)
         else:
-            mask = ctype._mask if ctype.bits[i] else everyone ^ ctype._mask
-            columns.setdefault(mask, []).extend(entry.occurrences)
-    for (_, mask), alloc in zip(items, comp):
-        cols = columns[mask]
+            ones = ctype._mask
+            placed.append((-entry.count, ones if ones >> i & 1 else everyone ^ ones, entry.occurrences))
+    # masks are distinct, so the occurrences never take part in the order
+    placed.sort()
+    _, comp = _search_class(n, tuple((-c, mask) for c, mask, _ in placed), effective_budget())
+    for (_, _, cols), alloc in zip(placed, comp):
         pos = 0
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])
@@ -371,7 +369,12 @@ class N3Bounds:
 def n3_bounds(matrix: PreferenceMatrix) -> N3Bounds:
     if matrix.n != 3:
         raise ValueError(f"n3_bounds needs n=3, got n={matrix.n}")
-    solo, _ = n3_counts(matrix)
+    # a 3-agent type splits one agent from the other two: the ones side
+    # when it holds a single agent, else agent 0
+    _, types = _census(matrix)
+    solo = [0, 0, 0]
+    for ones, count in types:
+        solo[ones.bit_length() - 1 if ones.bit_count() == 1 else 0] += count
     m = matrix.m
     d = sum(solo)
     fine = []

@@ -68,8 +68,9 @@ class AuditReport:
     ``ratios[i]`` is utility over adaptive share (None when the share is
     zero); ``alpha_adapt`` is the minimum of the defined ratios, or None
     when all are vacuous. The egalitarian side divides by floor(m/2)
-    for every agent. The ratio tuples are built when read; ``satisfies``
-    answers threshold queries exactly.
+    for every agent, so ``alpha_egal`` is the lowest utility over it.
+    It and the ratio tuples are built when read; ``satisfies`` answers
+    threshold queries exactly.
     """
 
     n: int
@@ -78,7 +79,11 @@ class AuditReport:
     mms_adapt: tuple[int, ...]
     alpha_adapt: Fraction | None
     egal_share: int
-    alpha_egal: Fraction | None
+
+    @property
+    def alpha_egal(self) -> Fraction | None:
+        egal = self.egal_share
+        return None if egal == 0 else Fraction(min(self.utilities), egal)
 
     @property
     def ratios(self) -> tuple[Fraction | None, ...]:
@@ -137,7 +142,6 @@ def audit(matrix: PreferenceMatrix, outcome: Sequence[int]) -> AuditReport:
         mms_adapt=shares,
         alpha_adapt=_lowest_ratio(utilities, shares),
         egal_share=egal,
-        alpha_egal=_lowest_ratio(utilities, (egal,) * matrix.n),
     )
 
 

@@ -262,10 +262,11 @@ def items_search(n, items, search=_kernels_py.search_max_partition):
 
 
 def agent_items(matrix, i):
-    """Agent i's raw solver items, before the solver relabels the agents,
-    and the matrix's consensus count."""
+    """Agent i's raw solver items in the order ``mms_partition`` searches
+    them, by descending count, then mask, and the matrix's consensus count."""
     consensus, types = shares._census(matrix)
-    return shares._agent_items(matrix.n, types, i), consensus
+    items = sorted(shares._agent_items(matrix.n, types, i), key=lambda cm: (-cm[0], cm[1]))
+    return tuple(items), consensus
 
 
 def agent_search(matrix, i):
@@ -281,9 +282,10 @@ def relabelled_searches(matrices):
     the raw search on the share."""
     searched = {}
     for matrix in matrices:
+        types = shares._census(matrix)[1]
         for i in range(matrix.n):
             items = agent_items(matrix, i)[0]
-            key = (matrix.n, shares._relabel(matrix.n, items))
+            key = (matrix.n, shares._relabel(matrix.n, shares._agent_items(matrix.n, types, i)))
             if key not in searched:
                 best, searched[key] = items_search(*key)
                 assert best == items_search(matrix.n, items)[0]

@@ -10,7 +10,6 @@ from mmsvote.model import (
     Partition,
     PreferenceMatrix,
     canonicalize,
-    n3_counts,
     parse_matrix,
     parse_outcome,
     type_census,
@@ -117,7 +116,6 @@ def test_canonicalize_examples():
     t, flip = canonicalize([1, 0, 0, 0])
     assert t.bits == (0, 1, 1, 1) and flip
     assert t.kind == "split"
-    assert t.minority == (0,)
     assert t.minority_bit == 0
 
     t, flip = canonicalize([1, 1, 1])
@@ -230,19 +228,6 @@ EXAMPLE_3x9 = PreferenceMatrix.from_rows(
         (0, 0, 1, 0, 0, 1, 0, 0, 1),
     ]
 )
-
-
-def test_n3_counts_on_clustered_example():
-    solo, consensus = n3_counts(EXAMPLE_3x9)
-    assert solo == (3, 0, 6)
-    assert consensus == 0
-
-
-def test_n3_counts_all_consensus():
-    M = PreferenceMatrix.from_rows([(1,) * 5, (1,) * 5, (1,) * 5])
-    assert n3_counts(M) == ((0, 0, 0), 5)
-    with pytest.raises(ValueError):
-        n3_counts(PreferenceMatrix.from_rows([(0,), (0,)]))
 
 
 def test_utility_examples():

@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import itertools
 import json
+import math
+import pkgutil
 import random
 import sys
 from collections import Counter
@@ -9,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmsvote
 from mmsvote import shares
 from mmsvote.adversary import gen_mnw_gap
-from mmsvote.model import Partition, PreferenceMatrix, parse_matrix
+from mmsvote.model import Partition, PreferenceMatrix, parse_matrix, type_census
 from mmsvote.shares import (
+    N3Bounds,
     SearchBudgetExceeded,
     effective_budget,
     mms_adapt,
@@ -192,6 +198,26 @@ def small_matrix(draw):
     return PreferenceMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(M=small_matrix())
+def test_agent_items_are_the_census_seen_from_the_agent(M):
+    # one item per non-consensus type, whose mask holds the agents voting
+    # with agent i on it; no two types give agent i the same mask, so no
+    # items need merging
+    n = M.n
+    types = shares._census(M)[1]
+    census = [(t, e) for t, e in type_census(M).items() if t.kind != "consensus"]
+    for i in range(n):
+        items = shares._agent_items(n, types, i)
+        masks = [mask for _, mask in items]
+        assert len(items) == len(census)
+        assert len(set(masks)) == len(masks)
+        assert all(mask >> i & 1 for mask in masks)
+        assert sorted(items) == sorted(
+            (e.count, sum(1 << a for a in range(n) if t.bits[a] == t.bits[i])) for t, e in census
+        )
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(M=small_matrix(), data=st.data())
 def test_mms_metamorphic_relabel_columns_and_cap(M, data):
@@ -292,10 +318,46 @@ def test_n3_bounds_examples():
     assert b.min_bound == 5
     b = n3_bounds(EXAMPLE_3x15)
     assert b.fine == (7, 9, 9)
-    b = n3_bounds(all_consensus(3, 5))
-    assert b.fine == (5, 5, 5)
     with pytest.raises(ValueError):
         n3_bounds(EXAMPLE_4x2)
+
+
+def solo_counts(matrix):
+    """Per agent, the decisions on which it alone disagrees with the other
+    two, read off the column bits."""
+    return tuple(sum(col.count(col[a]) == 1 for col in matrix.columns()) for a in range(3))
+
+
+def n3_bounds_from_solo(m, solo):
+    """The closed-form three-agent bounds for m decisions from the
+    agents' solo counts."""
+    d = sum(solo)
+    return N3Bounds(
+        fine=tuple(m - d + (2 * (d - s) + s) // 3 for s in solo),
+        coarse=m - math.ceil(Fraction(d, 3)),
+        min_bound=m - math.ceil(Fraction(4 * d, 9)),
+    )
+
+
+def test_n3_bounds_solo_counts_on_clustered_example():
+    assert solo_counts(EXAMPLE_3x9) == (3, 0, 6)
+    assert n3_bounds(EXAMPLE_3x9) == n3_bounds_from_solo(9, (3, 0, 6))
+
+
+def test_n3_bounds_all_consensus():
+    M = all_consensus(3, 5)
+    assert solo_counts(M) == (0, 0, 0)
+    assert n3_bounds(M) == N3Bounds(fine=(5, 5, 5), coarse=5, min_bound=5)
+    with pytest.raises(ValueError):
+        n3_bounds(PreferenceMatrix.from_rows([(0,), (0,)]))
+
+
+def test_n3_bounds_match_column_counts_exhaustive():
+    # every 3xm matrix up to m = 5: 37,449 matrices
+    for m in range(6):
+        for cols in itertools.product(itertools.product((0, 1), repeat=3), repeat=m):
+            M = PreferenceMatrix.from_columns(cols, n_agents=3)
+            assert n3_bounds(M) == n3_bounds_from_solo(m, solo_counts(M)), cols
 
 
 def test_n3_bounds_dominate_shares():
@@ -389,6 +451,26 @@ def clear_package_caches():
             for value in list(vars(module).values()):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+def test_package_caches_are_bounded():
+    # a long session in one process (exhaustive_check, a benchmark sweep)
+    # must not grow a cache without bound: every functools cache in the
+    # package has a finite maxsize, or wraps a function of no arguments
+    cached = {}
+    for info in pkgutil.iter_modules(mmsvote.__path__, "mmsvote."):
+        module = importlib.import_module(info.name)
+        members = list(vars(module).items())
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == info.name:
+                members += [(f"{name}.{k}", v) for k, v in vars(value).items()]
+        for name, value in members:
+            if callable(getattr(value, "cache_info", None)):
+                cached[f"{info.name}.{name}"] = value
+    assert {"mmsvote.cli._build_parser", "mmsvote.shares._search_class"} <= set(cached)
+    for name, fn in cached.items():
+        bounded = fn.cache_info().maxsize is not None
+        assert bounded or not inspect.signature(fn.__wrapped__).parameters, name
 
 
 def test_census_memo_ignores_column_order_and_orientation():
