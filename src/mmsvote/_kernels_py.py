@@ -10,31 +10,15 @@ The two entry points:
   in O(n^3).
 * ``search_max_partition``: the agent's side, an exhaustive maximum over
   placements of interchangeable decision types into labeled bundles.
-  Each type's splits over the bundles come from ``_compositions``, which
-  advances one row in place to its successor in ascending lexicographic
-  order, most even split first, so a node costs no call per bundle. Even
-  splits are good placements, and good incumbents found early prune more
-  of the search. Two paths walk the same tree:
-
-  - Up to ``LANE_AGENTS`` = 6 agents (n! <= 720), ``_search_lanes`` packs
-    every permutation's sum into one int, a lane of a few bits each
-    (SIMD within a register, Lamport 1975). A node adds its row to the
-    parent's int, and the pruning bar "every sum >= k" is one add and one
-    mask, so a node costs a few integer operations and nothing is undone
-    on backtracking. On the ``sweep`` benchmark's 819 searches (seed 1,
-    3 and 4 agents) this took 0.054 s down to 0.021 s, and on the six
-    6-agent ``shares`` searches 0.021 s to 0.013 s (Python 3.11, 2 vCPUs).
-  - From 7 agents, where the 5,040 lanes ran about 3.5 times slower,
-    ``_search_assignment`` carries one assignment state from node to node
-    (the dynamic Hungarian method of Mills-Tettey, Stentz & Dias 2007): a
-    node only raises the entries of a few bundles, so it re-augments just
-    the bundles whose matched entry rose, instead of solving from
-    scratch. Before that, a primal pre-test tries to prune the node for
-    free: any permutation's sum bounds the permutation minimum from
-    above, and the parent's matching and its single swaps are sums read
-    off the parent's state in O(n) integer steps per raised bundle. When
-    one of them already falls to the pruning bar, the node is dropped
-    without touching the state.
+  One walk, ``_walk``, visits the tree. Each type's splits over the
+  bundles come from ``_compositions``, most even split first, so good
+  incumbents come early and prune more. What a node holds is its state,
+  chosen by n and driven by the walk through ``push`` and ``pop``: up to
+  ``LANE_AGENTS`` = 6 agents, ``_lane_state`` packs every permutation's
+  sum into one int (SIMD within a register, Lamport 1975); from 7 agents,
+  ``_assignment_state`` carries one assignment state from node to node
+  (the dynamic Hungarian method of Mills-Tettey, Stentz & Dias 2007),
+  behind a primal pre-test that prunes most nodes without touching it.
 
 The Hungarian method runs on one shortest-augmenting-path step,
 ``_augment``.
@@ -42,13 +26,17 @@ The Hungarian method runs on one shortest-augmenting-path step,
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import permutations
 
 # the most agents whose n! permutation sums the share search packs into
 # one integer; see ``search_max_partition``
 LANE_AGENTS = 6
+
+# a search's (best, composition, nodes, completed) and a node state's (push, pop)
+_Result = tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]
+_State = tuple[Callable[[int, list[int], int], int | None], Callable[[int, list[int]], None]]
 
 
 def _augment(
@@ -212,12 +200,8 @@ def _compositions(row: list[int], total: int, classes: tuple[int, ...]) -> Itera
 
 
 def search_max_partition(
-    counts: tuple[int, ...],
-    masks: tuple[int, ...],
-    n: int,
-    cap: int,
-    node_budget: int,
-) -> tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]:
+    counts: tuple[int, ...], masks: tuple[int, ...], n: int, cap: int, node_budget: int
+) -> _Result:
     """Exact maximum, over all placements of the given decision types into
     n labeled bundles, of the permutation-minimum value.
 
@@ -228,11 +212,7 @@ def search_max_partition(
     are enumerated isomorph-free: bundles with identical placement history
     are interchangeable, so counts are forced nonincreasing inside each
     interchangeability class. A class is a contiguous run of bundles, and
-    type t's splits are visited by ``_compositions``, which steps one
-    row in place from each split to the next in ascending lexicographic
-    order, most even split first, instead of filling it slot by slot.
-    Even splits are good placements, and good incumbents found early
-    prune more.
+    type t's splits come from ``_compositions``, most even split first.
 
     A node is pruned when its value plus the undecided decisions' count
     cannot exceed ``best``, read afresh at every node. ``cap`` is a
@@ -243,18 +223,92 @@ def search_max_partition(
     placement puts in bundle j, and ``completed`` is False when the
     budget ran out (callers must then discard ``best``).
 
-    Up to ``LANE_AGENTS`` agents (n! <= 720) the search keeps every
-    permutation's sum in one packed integer (``_search_lanes``); above,
-    it keeps one dynamic assignment state (``_search_assignment``). Both
-    walk the same tree and return the same tuple. On the ``shares``
-    benchmark's 7-agent searches the lanes ran about 3.5 times slower
-    than the assignment state, so the cut-off is a constant on n.
+    One walk (``_walk``) searches on a node state chosen by n: every
+    permutation's sum packed into one int up to ``LANE_AGENTS`` agents
+    (n! <= 720, ``_lane_state``), one dynamic assignment state above
+    (``_assignment_state``). On the ``shares`` benchmark's 7-agent
+    searches the lanes ran about 3.5 times slower, so the cut-off is a
+    constant on n.
     """
     if not counts:
         return 0, (), 0, True
     if n <= LANE_AGENTS:
         return _search_lanes(counts, masks, n, cap, node_budget)
     return _search_assignment(counts, masks, n, cap, node_budget)
+
+
+def _search_lanes(
+    counts: tuple[int, ...], masks: tuple[int, ...], n: int, cap: int, node_budget: int
+) -> _Result:
+    """``search_max_partition`` on the packed-lane node state."""
+    return _walk(counts, n, cap, node_budget, _lane_state(counts, masks, n))
+
+
+def _search_assignment(
+    counts: tuple[int, ...], masks: tuple[int, ...], n: int, cap: int, node_budget: int
+) -> _Result:
+    """``search_max_partition`` on the assignment node state."""
+    return _walk(counts, n, cap, node_budget, _assignment_state(counts, masks, n))
+
+
+def _walk(counts: tuple[int, ...], n: int, cap: int, node_budget: int, state: _State) -> _Result:
+    """The search of ``search_max_partition`` on one node state.
+
+    ``state`` is ``(push, pop)``. ``push(t, row, floor)`` applies type t's
+    split ``row``; it returns None, leaving the state as it was, when the
+    node's value is at most ``floor = best - rest`` (each of the ``rest``
+    undecided decisions adds at most 1 to every permutation sum), and
+    otherwise a value, exact at a leaf. ``pop(t, row)`` undoes a push that
+    returned a value.
+    """
+    push, pop = state
+    T = len(counts)
+    suffix = [0] * (T + 1)
+    for t in range(T - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + counts[t]
+
+    comp = [[0] * n for _ in range(T)]
+    best = -1
+    best_comp: tuple[tuple[int, ...], ...] | None = None
+    nodes = 0
+    out_of_budget = False
+
+    def place(t: int, classes: tuple[int, ...]) -> bool:
+        """Returns True when the search should unwind (cap hit or budget out)."""
+        nonlocal best, best_comp, nodes, out_of_budget
+        row = comp[t]
+        rest = suffix[t + 1]
+        leaf = t + 1 == T
+        for _ in _compositions(row, counts[t], classes):
+            nodes += 1
+            if nodes > node_budget:
+                out_of_budget = True
+                return True
+            value = push(t, row, best - rest)
+            if value is None:
+                continue
+            if leaf:
+                best = value
+                best_comp = tuple(map(tuple, comp))
+                if best >= cap:
+                    return True
+            else:
+                # counts never rise inside a class, so splitting each class
+                # where its count changes keeps every class a contiguous run
+                refined = [0]
+                k = 0
+                for b in range(1, n):
+                    k += row[b] != row[b - 1] or classes[b] != classes[b - 1]
+                    refined.append(k)
+                if place(t + 1, tuple(refined)):
+                    return True
+            pop(t, row)
+        return False
+
+    place(0, (0,) * n)
+    if out_of_budget:
+        return best, None, nodes, False
+    return best, best_comp, nodes, True
 
 
 @lru_cache(maxsize=64)
@@ -282,108 +336,64 @@ def _lane_rows(n: int, w: int, mask: int) -> tuple[int, ...]:
     return tuple(sum(E[b][a] for a in agents) for b in range(n))
 
 
-def _search_lanes(
-    counts: tuple[int, ...],
-    masks: tuple[int, ...],
-    n: int,
-    cap: int,
-    node_budget: int,
-) -> tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]:
-    """``search_max_partition`` with every permutation's sum in one int.
+def _lane_state(counts: tuple[int, ...], masks: tuple[int, ...], n: int) -> _State:
+    """The node state with every permutation's sum in one int.
 
-    The state ``S`` holds n! lanes of ``w = sum(counts).bit_length() + 2``
-    bits; lane k is the sum of the k-th bundle-to-agent permutation, at
-    most ``sum(counts)``, so no lane carries into the next (SIMD within
-    a register, Lamport 1975). Placing a row adds ``row[b] * INC[t][b]``
-    over the bundles, and a child gets its own ``S``, so nothing is
-    undone on backtracking. The prune test "value + rest > best" is
-    "every lane >= k" for ``k = best - rest + 1``. Both a lane and k are
-    at most ``2^(w-2)``, so adding ``2^(w-1) - k`` to every lane leaves
-    each lane in range and sets its top bit exactly when the lane is at
-    least k: the test is one add and one mask, skipped when k <= 0. A
-    leaf is reached only with its value above ``best``; its exact value
-    steps k up from ``best + 1`` until some lane falls short.
+    ``S[t]`` holds, for the node at depth t, n! lanes of ``w =
+    sum(counts).bit_length() + 2`` bits; lane k is the sum of the k-th
+    bundle-to-agent permutation, at most ``sum(counts)``, so no lane
+    carries into the next (SIMD within a register, Lamport 1975). A push
+    at depth t adds ``row[b] * INC[t][b]`` over the bundles to ``S[t]``
+    and stores the child's int in ``S[t + 1]``, so a node never changes
+    its parent's int and ``pop`` has nothing to undo. The prune test
+    "value > floor" is "every lane >= k" for ``k = floor + 1``. Both a
+    lane and k are at most ``2^(w-2)``, so adding ``2^(w-1) - k`` to every
+    lane leaves each lane in range and sets its top bit exactly when the
+    lane is at least k: the test is one add and one mask, skipped when
+    k <= 0. Above a leaf a push returns the child's int, not its value; at
+    a leaf it steps k up until some lane falls short, which gives the
+    exact value.
     """
-    T = len(counts)
+    last = len(counts) - 1
     w = sum(counts).bit_length() + 2
     ones = _lane_table(n, w)[0]
     high = ones << (w - 1)
     incs = [_lane_rows(n, w, m) for m in masks]
-    suffix = [0] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + counts[t]
+    S = [0] * (last + 2)
 
-    comp = [[0] * n for _ in range(T)]
-    best = -1
-    best_comp: tuple[tuple[int, ...], ...] | None = None
-    nodes = 0
-    out_of_budget = False
-
-    def place(t: int, classes: tuple[int, ...], S: int) -> bool:
-        """``S`` packs the permutation sums of types before t.
-
-        Returns True when the search should unwind (cap hit or budget out).
-        """
-        nonlocal best, best_comp, nodes, out_of_budget
-        row = comp[t]
+    def push(t: int, row: list[int], floor: int) -> int | None:
+        child = S[t]
         inc = incs[t]
-        rest = suffix[t + 1]
-        leaf = t + 1 == T
-        for _ in _compositions(row, counts[t], classes):
-            nodes += 1
-            if nodes > node_budget:
-                out_of_budget = True
-                return True
-            child = S
-            for b in range(n):
-                c = row[b]
-                if c:
-                    child += c * inc[b]
-            k = best - rest + 1
-            if k > 0 and (child + high - k * ones) & high != high:
-                continue
-            if leaf:
-                value = best + 1
-                while (child + high - (value + 1) * ones) & high == high:
-                    value += 1
-                best = value
-                best_comp = tuple(tuple(r) for r in comp)
-                if best >= cap:
-                    return True
-                continue
-            # counts never rise inside a class, so refining by
-            # (class, count) keeps every class a contiguous run
-            refined: dict[tuple[int, int], int] = {}
-            new_classes = []
-            for b in range(n):
-                key = (classes[b], row[b])
-                new_classes.append(refined.setdefault(key, len(refined)))
-            if place(t + 1, tuple(new_classes), child):
-                return True
-        return False
+        for b in range(n):
+            c = row[b]
+            if c:
+                child += c * inc[b]
+        value = floor + 1
+        if value > 0 and (child + high - value * ones) & high != high:
+            return None
+        if t < last:
+            S[t + 1] = child
+            return child
+        while (child + high - (value + 1) * ones) & high == high:
+            value += 1
+        return value
 
-    place(0, tuple([0] * n), 0)
-    if out_of_budget:
-        return best, None, nodes, False
-    return best, best_comp, nodes, True
+    def pop(t: int, row: list[int]) -> None:
+        pass
+
+    return push, pop
 
 
-def _search_assignment(
-    counts: tuple[int, ...],
-    masks: tuple[int, ...],
-    n: int,
-    cap: int,
-    node_budget: int,
-) -> tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]:
-    """``search_max_partition`` on one dynamic assignment state.
+def _assignment_state(counts: tuple[int, ...], masks: tuple[int, ...], n: int) -> _State:
+    """The node state that keeps one dynamic assignment state.
 
     Each node's permutation minimum comes from an assignment state (bundle
-    and agent potentials, matching) kept for the current bundle sums: it
-    starts tight on the identity for the all-zero sums, a node unmatches
-    the bundles whose matched entry it raised and re-augments each with
-    ``_augment``, and backtracking restores the saved state. A node's
-    value is its parent's plus the rises the re-augmentations return, and
-    a leaf reuses its node's value.
+    and agent potentials, matching) kept for the current bundle sums
+    ``B``: it starts tight on the identity for the all-zero sums, a push
+    unmatches the bundles whose matched entry its row raised and
+    re-augments each with ``_augment``, and ``pop`` restores the saved
+    state. A node's value is its parent's plus the rises the
+    re-augmentations return, so every value is exact.
 
     Before the row is applied, a primal pre-test checks the pruning bar
     on an upper bound of the value: the least sum, on the new bundle
@@ -403,104 +413,79 @@ def _search_assignment(
     match = list(range(n)) + [-1]
     agreeing = [[a for a in range(n) if (masks[t] >> a) & 1] for t in range(T)]
     outside = [[a for a in range(n) if not (masks[t] >> a) & 1] for t in range(T)]
-    suffix = [0] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + counts[t]
+    values = [0] * (T + 1)  # values[t]: the permutation minimum at depth t
+    saved: list[tuple[list[int], list[int], list[int]] | None] = [None] * T
 
-    comp = [[0] * n for _ in range(T)]
-    best = -1
-    best_comp: tuple[tuple[int, ...], ...] | None = None
-    nodes = 0
-    out_of_budget = False
-
-    def place(t: int, classes: tuple[int, ...], value: int) -> bool:
-        """``value`` is the permutation minimum of the current B.
-
-        Returns True when the search should unwind (cap hit or budget out).
-        """
-        nonlocal best, best_comp, nodes, out_of_budget
-        if t == T:
-            if value > best:
-                best = value
-                best_comp = tuple(tuple(row) for row in comp)
-            return best >= cap
-        row = comp[t]
+    def push(t: int, row: list[int], floor: int) -> int | None:
+        value = values[t]
         agents = agreeing[t]
-        others = outside[t]
-        rest = suffix[t + 1]
-        for _ in _compositions(row, counts[t], classes):
-            nodes += 1
-            if nodes > node_budget:
-                out_of_budget = True
-                return True
-            # The primal pre-test, on B before the row. On the new sums the
-            # old matching's sum is value plus the row's count under each
-            # loose agent. Swapping the bundles b of a loose agent a and b2
-            # of an agent a2 outside type t's side changes it by
-            # B[b][a2] - B[b2][a2] + B[b2][a] - B[b][a] + row[b2] - row[b];
-            # a swap with an agent on t's side changes it as on the old
-            # sums, by at least 0 since the old matching is minimal. Any
-            # such sum bounds the node's value, so one at or below
-            # best - rest prunes the node the bound below would prune,
-            # before the row is applied or any bundle re-augmented.
-            loose = [a for a in agents if row[match[a]]]
-            gap = value + rest - best
+        # The primal pre-test, on B before the row. On the new sums the
+        # old matching's sum is value plus the row's count under each
+        # loose agent. Swapping the bundles b of a loose agent a and b2
+        # of an agent a2 outside type t's side changes it by
+        # B[b][a2] - B[b2][a2] + B[b2][a] - B[b][a] + row[b2] - row[b];
+        # a swap with an agent on t's side changes it as on the old
+        # sums, by at least 0 since the old matching is minimal. Any
+        # such sum bounds the node's value, so one at or below floor
+        # prunes the node the exact test below would prune, before the
+        # row is applied or any bundle re-augmented.
+        loose = []
+        gap = value - floor
+        for a in agents:
+            c = row[match[a]]
+            if c:
+                loose.append(a)
+                gap += c
+        if gap > 0:
+            others = outside[t]
             for a in loose:
-                gap += row[match[a]]
-            if gap > 0:
-                for a in loose:
-                    b = match[a]
-                    Bb = B[b]
-                    lift = Bb[a] + row[b] - gap
-                    for a2 in others:
-                        b2 = match[a2]
-                        B2 = B[b2]
-                        if Bb[a2] - B2[a2] + B2[a] + row[b2] <= lift:
-                            gap = 0
-                            break
-                    if not gap:
+                b = match[a]
+                Bb = B[b]
+                lift = Bb[a] + row[b] - gap
+                for a2 in others:
+                    b2 = match[a2]
+                    B2 = B[b2]
+                    if Bb[a2] - B2[a2] + B2[a] + row[b2] <= lift:
+                        gap = 0
                         break
-            if gap <= 0:
-                continue
-            for b in range(n):
-                c = row[b]
-                if c:
-                    Bb = B[b]
-                    for a in agents:
-                        Bb[a] += c
-            # entries only rose, so the potentials stay feasible and a
-            # matched pair stays tight unless its own entry rose: unmatch
-            # those bundles and re-augment each one
-            node_value = value
-            if loose:
-                saved = u[:], v[:], match[:]
-                bundles = [match[a] for a in loose]
-                for a in loose:
-                    match[a] = -1
-                for b in bundles:
-                    node_value += _augment(B, u, v, match, b)
-            # each undecided column can add at most 1 to every permutation sum
-            if node_value + rest > best:
-                # counts never rise inside a class, so refining by
-                # (class, count) keeps every class a contiguous run
-                refined: dict[tuple[int, int], int] = {}
-                new_classes = []
-                for b in range(n):
-                    key = (classes[b], row[b])
-                    new_classes.append(refined.setdefault(key, len(refined)))
-                if place(t + 1, tuple(new_classes), node_value):
-                    return True
-            if loose:
-                u[:], v[:], match[:] = saved
-            for b in range(n):
-                c = row[b]
-                if c:
-                    Bb = B[b]
-                    for a in agents:
-                        Bb[a] -= c
-        return False
+                if not gap:
+                    break
+        if gap <= 0:
+            return None
+        for b in range(n):
+            c = row[b]
+            if c:
+                Bb = B[b]
+                for a in agents:
+                    Bb[a] += c
+        # entries only rose, so the potentials stay feasible and a
+        # matched pair stays tight unless its own entry rose: unmatch
+        # those bundles and re-augment each one
+        if loose:
+            saved[t] = u[:], v[:], match[:]
+            bundles = [match[a] for a in loose]
+            for a in loose:
+                match[a] = -1
+            for b in bundles:
+                value += _augment(B, u, v, match, b)
+        else:
+            saved[t] = None
+        if value <= floor:
+            pop(t, row)
+            return None
+        values[t + 1] = value
+        return value
 
-    place(0, tuple([0] * n), 0)
-    if out_of_budget:
-        return best, None, nodes, False
-    return best, best_comp, nodes, True
+    def pop(t: int, row: list[int]) -> None:
+        state = saved[t]
+        if state is not None:
+            u[:], v[:], match[:] = state
+        agents = agreeing[t]
+        for b in range(n):
+            c = row[b]
+            if c:
+                Bb = B[b]
+                for a in agents:
+                    Bb[a] -= c
+
+    return push, pop

@@ -3,14 +3,19 @@ the permutation minimum against brute force and, past its reach, against
 metamorphic relations; the composition successor against a sorted
 (ascending) brute-force enumeration; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
-accounting and budget behavior); the packed-lane search path against
-the assignment path up to 6 agents, and which path each n takes; that
-the stopping cap only stops the search; and the node counts of the ``shares`` benchmark workload and of
-a batch of small 3- and 4-agent instances, pinned, both on the raw solver items and over the relabelling classes
-the solver actually searches, with the augmenting steps of the former
-and the nodes of one deep 7-agent search.
+accounting and budget behavior); the one search walk on its packed-lane
+node state against the same walk on its assignment node state up to 6
+agents, and which state each n takes; each node state's push/pop
+contract (a pruned push changes nothing, a pop undoes its push, a
+leaf's value is exact); that the stopping cap only stops the search;
+and the node counts of the ``shares`` benchmark workload and of a batch
+of small 3- and 4-agent instances, pinned, both on the raw solver items
+and over the relabelling classes the solver actually searches, with the
+augmenting steps of the former and the nodes of one deep 7-agent search.
 """
 
+import copy
+import inspect
 import itertools
 import random
 
@@ -441,6 +446,56 @@ def test_search_lanes_match_assignment(case, data):
         got = _kernels_py._search_lanes(counts, masks, n, top, budget)
         assert got == _kernels_py._search_assignment(counts, masks, n, top, budget)
         assert not got[3]
+
+
+def held_state(build, counts, masks, n):
+    """A node state built by ``build`` and a view of what it holds at a
+    depth: the lane state's packed ints up to that depth (the next slot
+    is the child's, which each push there writes), the assignment state's
+    bundle sums, potentials and matching."""
+    push, pop = build(counts, masks, n)
+    held = inspect.getclosurevars(push).nonlocals
+    if build is _kernels_py._lane_state:
+        S = held["S"]
+        return push, pop, lambda depth: S[: depth + 1]
+    lists = [held[name] for name in ("B", "u", "v", "match")]
+    return push, pop, lambda depth: copy.deepcopy(lists)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=lane_case(), data=st.data())
+@pytest.mark.parametrize("build", [_kernels_py._lane_state, _kernels_py._assignment_state])
+def test_node_state_push_pop(build, case, data):
+    # one path down the tree and back: each push prunes exactly when the
+    # node's permutation minimum is at most the floor, a pruned push
+    # leaves the state as it was, a leaf's value is exact, and each pop
+    # restores the state its push found
+    n, counts, masks = case
+    T = len(counts)
+    push, pop, view = held_state(build, counts, masks, n)
+    B = [[0] * n for _ in range(n)]
+    path = []
+    for t in range(T):
+        row = [0] * n
+        for b in data.draw(st.lists(st.integers(0, n - 1), min_size=counts[t], max_size=counts[t])):
+            row[b] += 1
+        for b in range(n):
+            for a in range(n):
+                B[b][a] += row[b] * (masks[t] >> a & 1)
+        value = naive_min_assignment(B)
+        floor = value + data.draw(st.integers(-1, 1))
+        before = view(T)
+        path.append((t, row, view(t)))
+        got = push(t, row, floor)
+        if floor >= value:
+            assert got is None and view(T) == before
+            got = push(t, row, value - 1)
+        assert got is not None
+        if t == T - 1:
+            assert got == value
+    for t, row, before in reversed(path):
+        pop(t, row)
+        assert view(t) == before
 
 
 @st.composite
