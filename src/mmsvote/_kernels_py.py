@@ -12,7 +12,9 @@ The two entry points:
   placements of interchangeable decision types into labeled bundles.
   One walk, ``_walk``, visits the tree. Each type's splits over the
   bundles come from ``_compositions``, most even split first, so good
-  incumbents come early and prune more. What a node holds is its state,
+  incumbents come early and prune more; they are built once per count
+  and classes into a ``_split_table`` that every search reads as a
+  list, so a node costs one ``push``. What a node holds is its state,
   chosen by n and driven by the walk through ``push`` and ``pop``: up to
   ``LANE_AGENTS`` = 6 agents, ``_lane_state`` packs every permutation's
   sum into one int (SIMD within a register, Lamport 1975); from 7 agents,
@@ -28,15 +30,23 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
+from threading import Lock
 
 # the most agents whose n! permutation sums the share search packs into
 # one integer; see ``search_max_partition``
 LANE_AGENTS = 6
 
-# a search's (best, composition, nodes, completed) and a node state's (push, pop)
+# held while a split table grows; see ``_split_table``
+_grow_lock = Lock()
+
+# a search's (best, composition, nodes, completed), a node state's (push,
+# pop) and a split table's (rows, grow)
 _Result = tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]
-_State = tuple[Callable[[int, list[int], int], int | None], Callable[[int, list[int]], None]]
+_State = tuple[
+    Callable[[int, tuple[int, ...], int], int | None], Callable[[int, tuple[int, ...]], None]
+]
+_Table = tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], Callable[[int], bool]]
 
 
 def _augment(
@@ -127,7 +137,8 @@ def _compositions(row: list[int], total: int, classes: tuple[int, ...]) -> Itera
     after each one, in ascending lexicographic order: the most even split
     first, the whole type in bundle 0 last. Even splits tend to be good
     placements, so the search finds a strong incumbent early, and a
-    strong incumbent prunes more of what follows.
+    strong incumbent prunes more of what follows. It fills the split
+    tables (``_split_table``), which the search reads in this order.
 
     Slot b continues a run when ``classes[b] == classes[b - 1]``; counts
     may not rise along a run. The smallest completion of a prefix puts
@@ -199,6 +210,46 @@ def _compositions(row: list[int], total: int, classes: tuple[int, ...]) -> Itera
         top = n - 1 if q else e - 1
 
 
+@lru_cache(maxsize=1024)
+def _split_table(total: int, classes: tuple[int, ...]) -> _Table:
+    """The splits of a type of ``total`` decisions over bundles of the
+    given ``classes``, as a list that grows on demand, and its ``grow``.
+
+    Row i of the list is ``(split, refined)``: the i-th split that
+    ``_compositions`` writes, as a tuple, and the classes below it.
+    Counts never rise inside a class, so splitting each class where its
+    count changes from the previous bundle keeps every class a contiguous
+    run. A table is built once per key and read by every search that
+    reaches the key. It starts empty. A reader keeps its own index i and
+    calls ``grow(i)`` when row i is missing: if row i is the list's next,
+    it appends the next chunk, as many rows as the list holds (one at
+    first), and it returns whether row i now exists. A search that stops
+    after a few nodes thus builds a few rows, and a reader reads in turn
+    the rows that a nested reader of the same key appended.
+    """
+    n = len(classes)
+    row = [0] * n
+    splits = _compositions(row, total, classes)
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def grow(i: int) -> bool:
+        # searches in two threads may share a table: the generator must not
+        # be resumed while it runs, and another reader may have appended
+        # row i since this one found it missing
+        with _grow_lock:
+            if i == len(rows):
+                for _ in islice(splits, i or 1):
+                    refined = [0]
+                    k = 0
+                    for b in range(1, n):
+                        k += row[b] != row[b - 1] or classes[b] != classes[b - 1]
+                        refined.append(k)
+                    rows.append((tuple(row), tuple(refined)))
+            return i < len(rows)
+
+    return rows, grow
+
+
 def search_max_partition(
     counts: tuple[int, ...], masks: tuple[int, ...], n: int, cap: int, node_budget: int
 ) -> _Result:
@@ -212,7 +263,9 @@ def search_max_partition(
     are enumerated isomorph-free: bundles with identical placement history
     are interchangeable, so counts are forced nonincreasing inside each
     interchangeability class. A class is a contiguous run of bundles, and
-    type t's splits come from ``_compositions``, most even split first.
+    type t's splits come from ``_compositions``, most even split first,
+    built once per (count, classes) into a ``_split_table`` and read as a
+    list by every search that reaches that key.
 
     A node is pruned when its value plus the undecided decisions' count
     cannot exceed ``best``, read afresh at every node. ``cap`` is a
@@ -260,6 +313,11 @@ def _walk(counts: tuple[int, ...], n: int, cap: int, node_budget: int, state: _S
     undecided decisions adds at most 1 to every permutation sum), and
     otherwise a value, exact at a leaf. ``pop(t, row)`` undoes a push that
     returned a value.
+
+    A node's splits and the classes below each are read by index from
+    the ``_split_table`` of its count and classes, built once and read as
+    a list by every search, so a node costs one ``push`` and enumerates
+    nothing.
     """
     push, pop = state
     T = len(counts)
@@ -267,7 +325,7 @@ def _walk(counts: tuple[int, ...], n: int, cap: int, node_budget: int, state: _S
     for t in range(T - 1, -1, -1):
         suffix[t] = suffix[t + 1] + counts[t]
 
-    comp = [[0] * n for _ in range(T)]
+    comp: list[tuple[int, ...]] = [()] * T
     best = -1
     best_comp: tuple[tuple[int, ...], ...] | None = None
     nodes = 0
@@ -276,10 +334,15 @@ def _walk(counts: tuple[int, ...], n: int, cap: int, node_budget: int, state: _S
     def place(t: int, classes: tuple[int, ...]) -> bool:
         """Returns True when the search should unwind (cap hit or budget out)."""
         nonlocal best, best_comp, nodes, out_of_budget
-        row = comp[t]
+        rows, grow = _split_table(counts[t], classes)
         rest = suffix[t + 1]
         leaf = t + 1 == T
-        for _ in _compositions(row, counts[t], classes):
+        # this reader's own position: a nested reader of the same table
+        # may append rows, which this one then reads in turn
+        i = 0
+        while i < len(rows) or grow(i):
+            row, refined = rows[i]
+            i += 1
             nodes += 1
             if nodes > node_budget:
                 out_of_budget = True
@@ -287,21 +350,14 @@ def _walk(counts: tuple[int, ...], n: int, cap: int, node_budget: int, state: _S
             value = push(t, row, best - rest)
             if value is None:
                 continue
+            comp[t] = row
             if leaf:
                 best = value
-                best_comp = tuple(map(tuple, comp))
+                best_comp = tuple(comp)
                 if best >= cap:
                     return True
-            else:
-                # counts never rise inside a class, so splitting each class
-                # where its count changes keeps every class a contiguous run
-                refined = [0]
-                k = 0
-                for b in range(1, n):
-                    k += row[b] != row[b - 1] or classes[b] != classes[b - 1]
-                    refined.append(k)
-                if place(t + 1, tuple(refined)):
-                    return True
+            elif place(t + 1, refined):
+                return True
             pop(t, row)
         return False
 
@@ -361,7 +417,7 @@ def _lane_state(counts: tuple[int, ...], masks: tuple[int, ...], n: int) -> _Sta
     incs = [_lane_rows(n, w, m) for m in masks]
     S = [0] * (last + 2)
 
-    def push(t: int, row: list[int], floor: int) -> int | None:
+    def push(t: int, row: tuple[int, ...], floor: int) -> int | None:
         child = S[t]
         inc = incs[t]
         for b in range(n):
@@ -378,7 +434,7 @@ def _lane_state(counts: tuple[int, ...], masks: tuple[int, ...], n: int) -> _Sta
             value += 1
         return value
 
-    def pop(t: int, row: list[int]) -> None:
+    def pop(t: int, row: tuple[int, ...]) -> None:
         pass
 
     return push, pop
@@ -416,7 +472,7 @@ def _assignment_state(counts: tuple[int, ...], masks: tuple[int, ...], n: int) -
     values = [0] * (T + 1)  # values[t]: the permutation minimum at depth t
     saved: list[tuple[list[int], list[int], list[int]] | None] = [None] * T
 
-    def push(t: int, row: list[int], floor: int) -> int | None:
+    def push(t: int, row: tuple[int, ...], floor: int) -> int | None:
         value = values[t]
         agents = agreeing[t]
         # The primal pre-test, on B before the row. On the new sums the
@@ -476,7 +532,7 @@ def _assignment_state(counts: tuple[int, ...], masks: tuple[int, ...], n: int) -
         values[t + 1] = value
         return value
 
-    def pop(t: int, row: list[int]) -> None:
+    def pop(t: int, row: tuple[int, ...]) -> None:
         state = saved[t]
         if state is not None:
             u[:], v[:], match[:] = state

@@ -1,7 +1,9 @@
 """The search kernels against the naive oracles in ``tests/oracles.py``:
 the permutation minimum against brute force and, past its reach, against
 metamorphic relations; the composition successor against a sorted
-(ascending) brute-force enumeration; the warm-started share search against a
+(ascending) brute-force enumeration; the split tables against the
+successor (from cold, with a nested reader, in the walk's reading order)
+and their lazy growth; the warm-started share search against a
 from-scratch reference (same values, winning composition, node
 accounting and budget behavior); the one search walk on its packed-lane
 node state against the same walk on its assignment node state up to 6
@@ -18,13 +20,15 @@ import copy
 import inspect
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsvote import _kernels_py, kernels, shares
-from mmsvote.adversary import gen_stage1
+from mmsvote.adversary import gen_mnw_gap, gen_stage1
 from mmsvote.model import PreferenceMatrix, parse_matrix
 from oracles import naive_min_assignment, reference_search_max_partition
 
@@ -223,6 +227,166 @@ def test_compositions_capacity_boundary():
                 if all(p[b] <= p[b - 1] for b in range(1, n) if classes[b] == classes[b - 1])
             )
             assert enumerate_compositions(1, classes) == expected, classes
+
+
+def refine(row, classes):
+    """The next depth's classes below ``row``: a new class wherever the
+    class or the count changes from the previous bundle."""
+    pairs = list(zip(row, classes))
+    return tuple(itertools.accumulate([0] + [int(p != q) for q, p in zip(pairs, pairs[1:])]))
+
+
+@st.composite
+def table_key(draw):
+    n = draw(st.integers(1, 8))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    classes = tuple(itertools.accumulate([0] + list(map(int, cuts))))
+    return draw(st.integers(0, 12)), classes
+
+
+def read_table(total, classes, stop=None, nest=None):
+    """The rows a reader of the split table of ``(total, classes)`` sees,
+    read as ``_walk`` reads them: by index, with ``grow`` where a row is
+    missing, and at most ``stop`` of them. ``nest = (k, j)`` starts a
+    second reader of the same table after the k-th row, which reads j
+    rows; its rows are returned second."""
+    rows, grow = _kernels_py._split_table(total, classes)
+    seen, inner = [], None
+    i = 0
+    while (stop is None or i < stop) and (i < len(rows) or grow(i)):
+        seen.append(rows[i])
+        i += 1
+        if nest and i == nest[0]:
+            inner = read_table(total, classes, stop=nest[1])[0]
+    return seen, inner
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(key=table_key(), data=st.data())
+def test_split_table_contract(key, data):
+    # from a cold table, a reader sees every split in the enumerator's
+    # order, each paired with its refined classes, and so does a second
+    # reader nested after a random row, which may grow the table past
+    # the first reader or stop early
+    total, classes = key
+    expected = [(row, refine(row, classes)) for row in enumerate_compositions(total, classes)]
+    _kernels_py._split_table.cache_clear()
+    assert read_table(total, classes) == (expected, None)
+    _kernels_py._split_table.cache_clear()
+    k = data.draw(st.integers(1, len(expected)))
+    j = data.draw(st.integers(0, len(expected)))
+    outer, inner = read_table(total, classes, nest=(k, j))
+    assert outer == expected and inner == expected[:j]
+    assert _kernels_py._split_table(total, classes)[0] == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(1, 4),
+    total=st.integers(0, 6),
+    T=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    budget=st.integers(1, 400),
+)
+def test_walk_reads_split_tables(n, total, T, seed, budget):
+    # the walk on a state that keeps a random subset of nodes visits the
+    # splits in enumerator order under each kept node's refined classes;
+    # every depth has the same total, so even splits nest a reader on its
+    # parent's table
+    rng = random.Random(seed)
+    visited = []
+
+    def push(t, row, floor):
+        visited.append((t, row))
+        return 0 if rng.random() < 0.6 else None
+
+    _kernels_py._split_table.cache_clear()
+    _kernels_py._walk((total,) * T, n, 10**9, budget, (push, lambda t, row: None))
+    # the same keep decisions, drawn in the same order
+    rng.seed(seed)
+    expected = []
+
+    def visit(t, classes):
+        for row in enumerate_compositions(total, classes):
+            if len(expected) == budget:
+                return True
+            expected.append((t, row))
+            if rng.random() < 0.6 and t + 1 < T and visit(t + 1, refine(row, classes)):
+                return True
+        return False
+
+    visit(0, (0,) * n)
+    assert visited == expected
+
+
+def test_split_tables_grow_lazily(monkeypatch):
+    # a search that stops early builds few rows: the Nash welfare gap
+    # instance's searches stop at their cap within a few nodes, and a
+    # search stopped by its budget leaves no table longer than twice the
+    # rows it read, plus one
+    from test_shares import clear_package_caches
+
+    tables = {}
+    split_table = _kernels_py._split_table
+
+    def recorded(total, classes):
+        tables[total, classes] = table = split_table(total, classes)
+        return table
+
+    clear_package_caches()
+    monkeypatch.setattr(_kernels_py, "_split_table", recorded)
+    shares.mms_adapt_all(gen_mnw_gap(9))
+    assert 0 < sum(len(rows) for rows, _ in tables.values()) < 16
+    rng = random.Random(907)
+    stopped = 0
+    for budget in range(1, 25):
+        n, counts, masks = random_case(rng, n_max=6, t_max=4, count_max=12)
+        if not counts:
+            continue
+        push, pop = _kernels_py._lane_state(counts, masks, n)
+        pushed = []
+
+        def recording(t, row, floor):
+            pushed.append(row)
+            return push(t, row, floor)
+
+        tables.clear()
+        split_table.cache_clear()
+        stopped += not _kernels_py._walk(counts, n, 10**9, budget, (recording, pop))[3]
+        ids = {id(row) for row in pushed}
+        for rows, _ in tables.values():
+            read = max((i + 1 for i, (row, refined) in enumerate(rows) if id(row) in ids), default=0)
+            assert len(rows) <= 2 * read + 1
+    assert stopped
+
+
+def test_split_tables_shared_across_threads():
+    # searches in several threads grow the same cold tables at once, with
+    # a thread switch forced every microsecond, and give the serial results
+    rng = random.Random(5081)
+    cases = []
+    for _ in range(40):
+        n, counts, masks = random_case(rng, n_max=5, t_max=4, count_max=8)
+        cases.append((counts, masks, n, sum(counts), 2000))
+    expected = [_kernels_py.search_max_partition(*case) for case in cases]
+    _kernels_py._split_table.cache_clear()
+    results = [None] * 4
+
+    def run(k):
+        results[k] = [_kernels_py.search_max_partition(*case) for case in cases]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
 
 
 def test_search_empty_types():
