@@ -9,18 +9,19 @@ The two entry points:
   over all bundle-to-agent permutations, solved by the Hungarian method
   in O(n^3).
 * ``search_max_partition``: the agent's side, an exhaustive maximum over
-  placements of interchangeable decision types into labeled bundles.
-  One walk, ``_walk``, visits the tree. Each type's splits over the
-  bundles come from ``_compositions``, most even split first, so good
-  incumbents come early and prune more; they are built once per count
-  and classes into a ``_split_table`` that every search reads as a
-  list, so a node costs one ``push``. What a node holds is its state,
-  chosen by n and driven by the walk through ``push`` and ``pop``: up to
-  ``LANE_AGENTS`` = 6 agents, ``_lane_state`` packs every permutation's
-  sum into one int (SIMD within a register, Lamport 1975); from 7 agents,
-  ``_assignment_state`` carries one assignment state from node to node
-  (the dynamic Hungarian method of Mills-Tettey, Stentz & Dias 2007),
-  behind a primal pre-test that prunes most nodes without touching it.
+  placements of interchangeable decision types into labeled bundles. One
+  walk, ``_walk``, visits the tree. Each type's splits over the bundles
+  come from ``_splits``, most even split first, so good incumbents come
+  early and prune more, each with the classes below it; they are built
+  once per count and classes into a ``_split_table`` that every search
+  reads as a list, so a node costs one ``push``. What a node holds is
+  its state, chosen by n and driven by the walk through ``push`` and
+  ``pop``: up to ``LANE_AGENTS`` = 6 agents, ``_lane_state`` packs every
+  permutation's sum into one int (SIMD within a register, Lamport 1975);
+  from 7 agents, ``_assignment_state`` carries one assignment state from
+  node to node (the dynamic Hungarian method of Mills-Tettey, Stentz &
+  Dias 2007), behind a primal pre-test that prunes most nodes without
+  touching it.
 
 The Hungarian method runs on one shortest-augmenting-path step,
 ``_augment``.
@@ -41,12 +42,13 @@ LANE_AGENTS = 6
 _grow_lock = Lock()
 
 # a search's (best, composition, nodes, completed), a node state's (push,
-# pop) and a split table's (rows, grow)
+# pop), a split with the classes below it, and a split table's (rows, grow)
 _Result = tuple[int, tuple[tuple[int, ...], ...] | None, int, bool]
 _State = tuple[
     Callable[[int, tuple[int, ...], int], int | None], Callable[[int, tuple[int, ...]], None]
 ]
-_Table = tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], Callable[[int], bool]]
+_Split = tuple[tuple[int, ...], tuple[int, ...]]
+_Table = tuple[list[_Split], Callable[[int], bool]]
 
 
 def _augment(
@@ -132,82 +134,43 @@ def min_assignment(bundle_sums: list[list[int]]) -> int:
     return sum(bundle_sums[match[a]][a] for a in range(n))
 
 
-def _compositions(row: list[int], total: int, classes: tuple[int, ...]) -> Iterator[None]:
-    """Write each composition of ``total`` into ``row`` in place, yielding
-    after each one, in ascending lexicographic order: the most even split
-    first, the whole type in bundle 0 last. Even splits tend to be good
-    placements, so the search finds a strong incumbent early, and a
-    strong incumbent prunes more of what follows. It fills the split
+def _splits(total: int, classes: tuple[int, ...]) -> Iterator[_Split]:
+    """Yield each split of ``total`` over bundles of the given ``classes``
+    with the classes below it, in ascending lexicographic order: the most
+    even split first, the whole type in bundle 0 last. Even splits tend to
+    be good placements, so the search finds a strong incumbent early, and
+    a strong incumbent prunes more of what follows. It fills the split
     tables (``_split_table``), which the search reads in this order.
 
-    Slot b continues a run when ``classes[b] == classes[b - 1]``; counts
-    may not rise along a run. The smallest completion of a prefix puts
-    zeros up to the final run and spreads the rest over the final run as
-    evenly as nonincreasing counts allow; the first composition is that
-    completion of the empty prefix. The successor finds the rightmost slot
-    j that opens a run, or holds less than the previous slot of its run,
-    and has a unit to its right; it moves one unit into j and refills the
-    slots right of j with the smallest completion (inside the final run
-    the spread covers only the slots after j, and fits under the new
-    ``row[j]``). A single unit only ever sits on the first slot of a run,
-    so ``total == 1`` moves it over those slots, last run first.
+    Slot b opens a class run unless ``classes[b] == classes[b - 1]``, and
+    counts may not rise along a run. The slots are filled left to right,
+    each with its counts from low to high: up to the rest, and at most
+    the previous slot's count inside a run. Left of the final run the
+    lowest count is 0; inside it, the rest must still fit under
+    nonincreasing counts, so it is ``ceil(rest / (n - b))``, which makes
+    the first split the most even and leaves no dead end. The classes
+    below a split cut each class where its count changes from the
+    previous bundle, which keeps every class a contiguous run.
     """
-    n = len(row)
-    for b in range(n):
-        row[b] = 0
+    n = len(classes)
     last = n - 1  # the first slot of the final run
     while last and classes[last] == classes[last - 1]:
         last -= 1
-    if total <= 1:
-        if not total:
-            yield
+
+    def fill(
+        b: int, rest: int, row: tuple[int, ...], refined: tuple[int, ...]
+    ) -> Iterator[_Split]:
+        if b == n:
+            yield row, refined
             return
-        b = last
-        for s in range(last, -1, -1):
-            if not s or classes[s] != classes[s - 1]:
-                row[b] = 0
-                row[s] = 1
-                b = s
-                yield
-        return
-    q, r = divmod(total, n - last)
-    for b in range(last, n):
-        row[b] = q + 1 if b - last < r else q
-    top = n - 1 if q else last + r - 1  # the last nonzero slot
-    while True:
-        yield
-        # scan leftwards from the last nonzero slot; rest is the sum of the
-        # slots right of j, and slot 0 always opens a run
-        rest = row[top]
-        j = top - 1
-        while j > 0:
-            c = row[j]
-            if c < row[j - 1] or classes[j] != classes[j - 1]:
-                break
-            rest += c
-            j -= 1
-        else:
-            if j:
-                return
-            c = row[0]
-        row[j] = c + 1
-        if rest == 1:  # the unit came from the last nonzero slot
-            row[top] = 0
-            top = j
-            continue
-        rest -= 1
-        s = j + 1  # the first slot of the spread
-        if s < last:
-            for b in range(s, min(last, top + 1)):
-                row[b] = 0
-            s = last
-        q, r = divmod(rest, n - s)
-        e = s + r
-        for b in range(s, e):
-            row[b] = q + 1
-        for b in range(e, n if q else top + 1):
-            row[b] = q
-        top = n - 1 if q else e - 1
+        opens = not b or classes[b] != classes[b - 1]
+        high = rest if opens else min(rest, row[-1])
+        low = -(-rest // (n - b)) if b >= last else 0
+        for c in range(low, high + 1):
+            k = refined[-1] + (opens or c != row[-1]) if b else 0
+            yield from fill(b + 1, rest - c, row + (c,), refined + (k,))
+
+    yield from fill(0, total, (), ())
 
 
 @lru_cache(maxsize=1024)
@@ -215,22 +178,18 @@ def _split_table(total: int, classes: tuple[int, ...]) -> _Table:
     """The splits of a type of ``total`` decisions over bundles of the
     given ``classes``, as a list that grows on demand, and its ``grow``.
 
-    Row i of the list is ``(split, refined)``: the i-th split that
-    ``_compositions`` writes, as a tuple, and the classes below it.
-    Counts never rise inside a class, so splitting each class where its
-    count changes from the previous bundle keeps every class a contiguous
-    run. A table is built once per key and read by every search that
-    reaches the key. It starts empty. A reader keeps its own index i and
-    calls ``grow(i)`` when row i is missing: if row i is the list's next,
-    it appends the next chunk, as many rows as the list holds (one at
-    first), and it returns whether row i now exists. A search that stops
-    after a few nodes thus builds a few rows, and a reader reads in turn
-    the rows that a nested reader of the same key appended.
+    Row i of the list is ``(split, refined)``, the i-th that ``_splits``
+    yields: the split and the classes below it. A table is built once per
+    key and read by every search that reaches the key. It starts empty. A
+    reader keeps its own index i and calls ``grow(i)`` when row i is
+    missing: if row i is the list's next, it appends the next chunk, as
+    many rows as the list holds (one at first), and it returns whether row
+    i now exists. A search that stops after a few nodes thus builds a few
+    rows, and a reader reads in turn the rows that a nested reader of the
+    same key appended.
     """
-    n = len(classes)
-    row = [0] * n
-    splits = _compositions(row, total, classes)
-    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    splits = _splits(total, classes)
+    rows: list[_Split] = []
 
     def grow(i: int) -> bool:
         # searches in two threads may share a table: the generator must not
@@ -238,13 +197,7 @@ def _split_table(total: int, classes: tuple[int, ...]) -> _Table:
         # row i since this one found it missing
         with _grow_lock:
             if i == len(rows):
-                for _ in islice(splits, i or 1):
-                    refined = [0]
-                    k = 0
-                    for b in range(1, n):
-                        k += row[b] != row[b - 1] or classes[b] != classes[b - 1]
-                        refined.append(k)
-                    rows.append((tuple(row), tuple(refined)))
+                rows.extend(islice(splits, i or 1))
             return i < len(rows)
 
     return rows, grow
@@ -263,9 +216,10 @@ def search_max_partition(
     are enumerated isomorph-free: bundles with identical placement history
     are interchangeable, so counts are forced nonincreasing inside each
     interchangeability class. A class is a contiguous run of bundles, and
-    type t's splits come from ``_compositions``, most even split first,
-    built once per (count, classes) into a ``_split_table`` and read as a
-    list by every search that reaches that key.
+    type t's splits come from ``_splits``, most even split first, each
+    with the classes below it, built once per (count, classes) into a
+    ``_split_table`` and read as a list by every search that reaches that
+    key.
 
     A node is pruned when its value plus the undecided decisions' count
     cannot exceed ``best``, read afresh at every node. ``cap`` is a
@@ -314,10 +268,10 @@ def _walk(counts: tuple[int, ...], n: int, cap: int, node_budget: int, state: _S
     otherwise a value, exact at a leaf. ``pop(t, row)`` undoes a push that
     returned a value.
 
-    A node's splits and the classes below each are read by index from
-    the ``_split_table`` of its count and classes, built once and read as
-    a list by every search, so a node costs one ``push`` and enumerates
-    nothing.
+    A node's splits and the classes below each, as ``_splits`` yields
+    them, are read by index from the ``_split_table`` of its count and
+    classes, built once and read as a list by every search, so a node
+    costs one ``push`` and enumerates nothing.
     """
     push, pop = state
     T = len(counts)

@@ -38,13 +38,13 @@ holding the agents on agent i's side, and no two types give the same
 mask. The share queries search each agent's relabelled items: the agents
 are renamed by an invariant signature (the refinement step of canonical
 labelling, McKay & Piperno 2014) and the items sorted once, so agents
-whose items differ only by agent labels are mostly searched once.
-``mms_partition`` searches agent i's own items instead, by descending
-count, then mask, so its witness needs no mapping back. Two caches, both keyed
-with the node budget, hold the results: the cache of those searches,
-keyed by their items, and ``mms_adapt_all``'s memo of every agent's
-share, less the consensus columns, on the sorted census, so matrices
-equal up to column order and orientation cost one lookup.
+whose items differ only by agent labels are mostly searched once;
+``mms_partition`` maps that search's placement of each item back to the
+columns of its type. Two caches, both keyed with the node budget, hold
+the results: the cache of those searches, keyed by their items, and
+``mms_adapt_all``'s memo of every agent's share, less the consensus
+columns, on the sorted census, so matrices equal up to column order and
+orientation cost one lookup.
 The matrix itself caches no share; it holds only its type census and
 the utilities of the last outcome a rule or an audit counted on it.
 """
@@ -215,9 +215,12 @@ def _items_cap(n: int, items: Sequence[tuple[int, int]]) -> int:
     return cap
 
 
-def _relabel(n: int, items: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _relabel(
+    n: int, items: Sequence[tuple[int, int]]
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Rename the agents so that items equal up to agent labels tend to
-    meet in one key.
+    meet in one key; returns the relabelled items and ``order``, where
+    ``order[k]`` is the index, in ``items``, of relabelled item k.
 
     Each agent's signature is the sorted multiset of (count, popcount of
     mask) over the items whose mask contains it, an invariant of the
@@ -228,8 +231,9 @@ def _relabel(n: int, items: Sequence[tuple[int, int]]) -> tuple[tuple[int, int],
 
     Renaming agents permutes the columns of every bundle-sum matrix, which
     the permutation minimum absorbs, so any renaming keeps the share and
-    keeps every composition a witness. The index tie-break only costs
-    cache hits between items the signatures do not tell apart.
+    keeps every composition a witness: row k of one is a placement of
+    item ``order[k]``. The index tie-break only costs cache hits between
+    items the signatures do not tell apart.
     """
     signatures: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for count, mask in items:
@@ -237,22 +241,22 @@ def _relabel(n: int, items: Sequence[tuple[int, int]]) -> tuple[tuple[int, int],
         for a in range(n):
             if mask >> a & 1:
                 signatures[a].append(key)
-    order = sorted(range(n), key=lambda a: (sorted(signatures[a]), a))
+    names = sorted(range(n), key=lambda a: (sorted(signatures[a]), a))
     relabelled = []
-    for count, mask in items:
+    for k, (count, mask) in enumerate(items):
         renamed = 0
-        for k, a in enumerate(order):
+        for name, a in enumerate(names):
             if mask >> a & 1:
-                renamed |= 1 << k
-        relabelled.append((-count, renamed))
+                renamed |= 1 << name
+        # masks are distinct, so k never takes part in the order
+        relabelled.append((-count, renamed, k))
     relabelled.sort()
-    return tuple((-c, mask) for c, mask in relabelled)
+    return tuple((-c, mask) for c, mask, _ in relabelled), tuple(k for _, _, k in relabelled)
 
 
 @lru_cache(maxsize=65536)
 def _search_class(n: int, items: tuple[tuple[int, int], ...], budget: int):
-    """The kernel search for solver items, one per items tuple: the
-    share queries pass relabelled items, ``mms_partition`` an agent's own."""
+    """The kernel search for relabelled solver items, one per items tuple."""
     counts = tuple(c for c, _ in items)
     masks = tuple(m for _, m in items)
     cap = _items_cap(n, items)
@@ -272,7 +276,7 @@ def mms_adapt(matrix: PreferenceMatrix, i: int) -> int:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
     consensus, types = _census(matrix)
-    items = _relabel(n, _agent_items(n, types, i))
+    items = _relabel(n, _agent_items(n, types, i))[0]
     return consensus + _search_class(n, items, effective_budget())[0]
 
 
@@ -290,7 +294,7 @@ def _census_bests(n: int, types: tuple[tuple[int, int], ...], budget: int):
     non-consensus census ``types``. Each agent's items go through the
     cached search of their relabelled class."""
     return tuple(
-        _search_class(n, _relabel(n, _agent_items(n, types, i)), budget)[0]
+        _search_class(n, _relabel(n, _agent_items(n, types, i))[0], budget)[0]
         for i in range(n)
     )
 
@@ -299,27 +303,22 @@ def mms_partition(matrix: PreferenceMatrix, i: int) -> Partition:
     """An optimal partition witnessing mms_adapt(matrix, i).
 
     The witness is the first optimum in the solver's canonical
-    (symmetry-pruned) enumeration order of agent i's own items, not
-    relabelled, by descending count, then mask; consensus columns all sit
-    in the first bundle, and each item's columns are those of its census
-    type. ``partition_guarantee`` of the result equals the share.
+    (symmetry-pruned) enumeration order of agent i's relabelled items, the
+    search ``mms_adapt`` reads; consensus columns all sit in the first
+    bundle, and each item's columns are those of its census type.
+    ``partition_guarantee`` of the result equals the share.
     """
     if not 0 <= i < matrix.n:
         raise ValueError(f"agent index {i} out of range for n={matrix.n}")
     n = matrix.n
-    everyone = (1 << n) - 1
-    bundles: list[list[int]] = [[] for _ in range(n)]
-    placed = []
-    for ctype, entry in type_census(matrix).items():
-        if ctype.kind == "consensus":
-            bundles[0].extend(entry.occurrences)
-        else:
-            ones = ctype._mask
-            placed.append((-entry.count, ones if ones >> i & 1 else everyone ^ ones, entry.occurrences))
-    # masks are distinct, so the occurrences never take part in the order
-    placed.sort()
-    _, comp = _search_class(n, tuple((-c, mask) for c, mask, _ in placed), effective_budget())
-    for (_, _, cols), alloc in zip(placed, comp):
+    _, types = _census(matrix)
+    items, order = _relabel(n, _agent_items(n, types, i))
+    _, comp = _search_class(n, items, effective_budget())
+    # the consensus type's mask is 0, every other type's is not
+    columns = {ctype._mask: entry.occurrences for ctype, entry in type_census(matrix).items()}
+    bundles: list[list[int]] = [list(columns.get(0, ()))] + [[] for _ in range(n - 1)]
+    for k, alloc in zip(order, comp):
+        cols = columns[types[k][0]]
         pos = 0
         for b, c in enumerate(alloc):
             bundles[b].extend(cols[pos : pos + c])

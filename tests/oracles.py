@@ -148,8 +148,9 @@ def reference_search_max_partition(counts, masks, n, cap, node_budget):
     at every leaf. ``min_assignment`` is tied to brute force on its own.
     It keeps the recursive slot-by-slot enumerator ``fill``, which tries
     each slot's counts from low to high, so it visits each type's splits
-    in ascending lexicographic order; that ties the kernel's in-place
-    successor step to an independently written order."""
+    in ascending lexicographic order; that ties the kernel's split
+    enumerator, ``_kernels_py._splits``, to an independently written
+    order."""
     from mmsvote._kernels_py import min_assignment
 
     T = len(counts)

@@ -1,19 +1,20 @@
 """The search kernels against the naive oracles in ``tests/oracles.py``:
 the permutation minimum against brute force and, past its reach, against
-metamorphic relations; the composition successor against a sorted
-(ascending) brute-force enumeration; the split tables against the
-successor (from cold, with a nested reader, in the walk's reading order)
-and their lazy growth; the warm-started share search against a
-from-scratch reference (same values, winning composition, node
-accounting and budget behavior); the one search walk on its packed-lane
-node state against the same walk on its assignment node state up to 6
-agents, and which state each n takes; each node state's push/pop
-contract (a pruned push changes nothing, a pop undoes its push, a
-leaf's value is exact); that the stopping cap only stops the search;
-and the node counts of the ``shares`` benchmark workload and of a batch
-of small 3- and 4-agent instances, pinned, both on the raw solver items
-and over the relabelling classes the solver actually searches, with the
-augmenting steps of the former and the nodes of one deep 7-agent search.
+metamorphic relations; the split enumerator against a sorted (ascending)
+brute-force enumeration and its classes against a naive refinement; the
+split tables against the enumerator (from cold, with a nested reader, in
+the walk's reading order) and their lazy growth; the warm-started share
+search against a from-scratch reference (same values, winning
+composition, node accounting and budget behavior); the one search walk
+on its packed-lane node state against the same walk on its assignment
+node state up to 6 agents, and which state each n takes; each node
+state's push/pop contract (a pruned push changes nothing, a pop undoes
+its push, a leaf's value is exact); that the stopping cap only stops the
+search; and the node counts of the ``shares`` benchmark workload and of
+a batch of small 3- and 4-agent instances, pinned, both on the raw
+solver items and over the relabelling classes the solver actually
+searches, with the augmenting steps of the former and the nodes of one
+deep 7-agent search.
 """
 
 import copy
@@ -170,8 +171,7 @@ def contiguous_runs(n):
 
 
 def enumerate_compositions(total, classes):
-    row = [-1] * len(classes)
-    return [tuple(row) for _ in _kernels_py._compositions(row, total, classes)]
+    return [row for row, _ in _kernels_py._splits(total, classes)]
 
 
 def test_compositions_order():
@@ -186,22 +186,26 @@ def test_compositions_order():
                 expected = sorted(
                     p for p in candidates if all(p[b] <= p[b - 1] for b in within)
                 )
-                assert enumerate_compositions(total, classes) == expected, (n, classes, total)
+                yielded = list(_kernels_py._splits(total, classes))
+                assert [row for row, _ in yielded] == expected, (n, classes, total)
+                assert all(refined == refine(row, classes) for row, refined in yielded)
 
 
 def test_compositions_capacity_boundary():
     # the most even split comes first, the whole type in bundle 0 last
     rows = enumerate_compositions(6, (0, 0, 0))
     assert rows[0] == (2, 2, 2) and rows[-1] == (6, 0, 0)
-    # j inside the final run: the refill spreads over the slots after j
-    # only, and stays under the new row[j]
+    # inside the final run, the next split after a row raises the
+    # rightmost slot it can and spreads the rest as evenly as possible
+    # over the slots after it, under that slot's new count
     rows = enumerate_compositions(7, (0, 1, 1, 1))
     i = rows.index((0, 3, 2, 2))
     assert rows[i + 1 : i + 3] == [(0, 3, 3, 1), (0, 4, 2, 1)]
     rows = enumerate_compositions(7, (0, 0, 0, 0))
     i = rows.index((3, 2, 1, 1))
     assert rows[i + 1 : i + 3] == [(3, 2, 2, 0), (3, 3, 1, 0)]
-    # j left of the final run: zeros up to the final run, then the even spread
+    # raising a slot left of the final run puts zeros up to the final run,
+    # then the most even spread of the rest over the final run
     rows = enumerate_compositions(5, (0, 0, 1, 1))
     i = rows.index((1, 1, 3, 0))
     assert rows[i + 1] == (2, 0, 2, 1)
@@ -431,8 +435,8 @@ def items_search(n, items, search=_kernels_py.search_max_partition):
 
 
 def agent_items(matrix, i):
-    """Agent i's raw solver items in the order ``mms_partition`` searches
-    them, by descending count, then mask, and the matrix's consensus count."""
+    """Agent i's raw solver items, not relabelled, by descending count,
+    then mask, and the matrix's consensus count."""
     consensus, types = shares._census(matrix)
     items = sorted(shares._agent_items(matrix.n, types, i), key=lambda cm: (-cm[0], cm[1]))
     return tuple(items), consensus
@@ -454,7 +458,7 @@ def relabelled_searches(matrices):
         types = shares._census(matrix)[1]
         for i in range(matrix.n):
             items = agent_items(matrix, i)[0]
-            key = (matrix.n, shares._relabel(matrix.n, shares._agent_items(matrix.n, types, i)))
+            key = (matrix.n, shares._relabel(matrix.n, shares._agent_items(matrix.n, types, i))[0])
             if key not in searched:
                 best, searched[key] = items_search(*key)
                 assert best == items_search(matrix.n, items)[0]

@@ -259,8 +259,8 @@ def test_partition_guarantee_validates():
 def test_mms_partition_witness_attains_share():
     rng = random.Random(1213)
     matrices = [random_matrix(rng, rng.randint(3, 4), rng.randint(0, 6)) for _ in range(60)]
-    # each witness comes from a search of the agent's own items, not the
-    # relabelled ones the share queries search
+    # each witness comes from the search of the agent's relabelled items,
+    # mapped back to the columns of each item's census type
     matrices += [parse_matrix(text) for text, _ in SHARES_WORKLOAD]
     matrices += small_instances(seed=2718, count=150)
     # column-shuffled and column-complemented copies list the census types
@@ -281,6 +281,23 @@ def test_mms_partition_witness_attains_share():
                 assert consensus <= set(witness.bundles[0]), (X.to_text(), i)
     witness = mms_partition(EXAMPLE_3x9, 1)
     assert partition_guarantee(EXAMPLE_3x9, 1, witness) == 6
+
+
+def test_mms_partition_reads_the_share_search():
+    # after the shares, every agent's witness is a cache hit of the class
+    # search the share came from: no search of its own
+    matrices = [parse_matrix(text) for text, _ in SHARES_WORKLOAD]
+    matrices += small_instances(seed=4049, count=60)
+    for M in matrices:
+        clear_package_caches()
+        values = mms_adapt_all(M)
+        misses = shares._search_class.cache_info().misses
+        consensus = {j for j, col in enumerate(M.columns()) if len(set(col)) == 1}
+        for i in range(M.n):
+            witness = mms_partition(M, i)
+            assert partition_guarantee(M, i, witness) == values[i], (M.to_text(), i)
+            assert consensus <= set(witness.bundles[0]), (M.to_text(), i)
+        assert shares._search_class.cache_info().misses == misses, M.to_text()
 
 
 @pytest.mark.parametrize(
